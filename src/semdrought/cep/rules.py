@@ -134,17 +134,6 @@ class CepRule:
             raise ValueError("severity weight must lie in [0, 1]")
 
 
-def pattern_kinds(expr: PatternExpr) -> set[str]:
-    """Event kinds the expression consumes."""
-    if isinstance(expr, (Threshold, Aggregate, Trend, Absent)):
-        return {expr.kind}
-    if isinstance(expr, Seq):
-        return {expr.first, expr.second}
-    if isinstance(expr, Not):
-        return pattern_kinds(expr.child)
-    return set().union(*(pattern_kinds(c) for c in expr.children))
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class Iri:
 
     def __post_init__(self):
         v = self.value
-        if not v or any(c.isspace() for c in v):
+        if v.split() != [v]:      # empty, or contains whitespace
             raise ValueError(f"invalid IRI: {v!r}")
         if "://" not in v and not _PREFIXED_IRI.match(v):
             raise ValueError(f"IRI needs a scheme or registered prefix: {v!r}")
@@ -143,15 +143,19 @@ def format_utc_instant(timestamp: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_UTC_INSTANT = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z")
+
+
 def parse_utc_instant(text: str) -> int:
     """ISO-8601 UTC instant to epoch seconds; whole seconds and Z required."""
-    if not re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", text):
+    match = _UTC_INSTANT.fullmatch(text)
+    if match is None:
         raise ValueError(f"not an ISO-8601 UTC instant: {text!r}")
     try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+        dt = datetime(*map(int, match.groups()), tzinfo=timezone.utc)
     except ValueError:
         raise ValueError(f"not an ISO-8601 UTC instant: {text!r}")
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+    return int(dt.timestamp())
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _cmd_export(args) -> int:
     if persistence is None:
         raise SemDroughtError("config has no persistence_dir; nothing to export")
     pipeline.restore(persistence)
-    Path(args.out).write_text(pipeline.store.serialize(), encoding="utf-8")
+    Path(args.out).write_text(pipeline.serialize(), encoding="utf-8")
     return 0
 
 

@@ -1,15 +1,19 @@
-"""End-to-end wiring: one ingestion path feeding store, engines and forecasts.
+"""End-to-end wiring: one ingestion path feeding the observation log, engines
+and forecasts.
 
 Observations replayed from file and observations posted over HTTP travel
 the identical route, so replay tests cover the live path. Each region owns
 one event engine, preserving the in-order input contract per region while
-regions proceed independently.
+regions proceed independently. The per-region observation logs are the
+state; observations' triples are rendered from them for persistence and
+for the ``store`` view.
 """
 
 import json
 import os
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -35,15 +39,26 @@ from ..ingest import (
 from ..model import (
     RDF_NS,
     CanonicalObservation,
+    Datatype,
     Iri,
     Namespaces,
+    Term,
+    Triple,
     Vocabulary,
+    canonical_double,
     format_utc_instant,
     observation_to_triples,
     parse_utc_instant,
     triples_to_observation,
 )
-from ..store import TripleStore, builtin_rules
+from ..store import (
+    TripleStore,
+    builtin_rules,
+    literal_text,
+    parse_lines,
+    statement,
+    term_text,
+)
 from .config import Config, InvalidConfigError
 
 STORE_FILE = "store.nt"
@@ -90,18 +105,28 @@ class Pipeline:
             config.indicators_path.read_text(encoding="utf-8")
         )
         self.rules = self._load_rules()
-        self.store = TripleStore()
+        self._lines = ObservationLines(self.ns)
+        # triples beyond the observations: the ontology, derived facts and
+        # whatever a restored store.nt held that no observation accounts for
+        self._facts = TripleStore()
         for triple in self.vocabulary.as_triples():
-            self.store.insert(triple)
+            self._facts.insert(triple)
+        self._view: TripleStore | None = None
 
         self._engines = {region: Engine(self.rules) for region in config.regions}
         self._region_of_sensor: dict[str, str] = {}
         for region, sensors in config.regions.items():
             for raw_id in sensors:
                 self._region_of_sensor[self.table.sensor(raw_id).iri.value] = region
+        # the observation log is the state; each region's first _saturated[region]
+        # entries carry their super-type triples, and observations whose ids are in
+        # _kept_in_facts are restored ones whose triples _facts holds verbatim
         self._observations: dict[str, list[CanonicalObservation]] = {
             region: [] for region in config.regions
         }
+        self._saturated = {region: 0 for region in config.regions}
+        self._kept_in_facts: set[str] = set()
+        self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
         self._event_count = 0
         self.lock = threading.RLock()
@@ -145,12 +170,11 @@ class Pipeline:
         return region
 
     def ingest_raw(self, raw: RawObservation) -> tuple[CanonicalObservation, list[Firing]]:
-        """Canonicalize, store as triples and stream into the region engine."""
+        """Canonicalize, log and stream into the region engine."""
         obs = canonicalize(raw, self.table)
         with self.lock:
             region = self.region_of(obs.sensor_id)
-            triples = observation_to_triples(self.ns, obs)
-            if triples[0] in self.store:
+            if obs.id.value in self._observation_ids:
                 raise DuplicateObservationError(
                     f"observation already ingested: {obs.id.value}"
                 )
@@ -160,10 +184,10 @@ class Pipeline:
                 value=obs.value,
                 attributes=(("region", region), ("sensor", obs.sensor_id.value)),
             )
-            firings = self._engines[region].push_event(event)  # may reject; store untouched
-            for triple in triples:
-                self.store.insert(triple)
+            firings = self._engines[region].push_event(event)  # may reject; state untouched
+            self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
+            self._view = None
             self._event_count += 1
             self._log_firings(region, firings)
         return obs, firings
@@ -244,7 +268,12 @@ class Pipeline:
                 previous_ts = event_ts
         summary.firings += self.flush_engines()
         with self.lock:
-            self.store.saturate(builtin_rules(self.ns))
+            # what this derives for the logged observations, their super-types,
+            # is rendered from the log, not stored
+            self._facts.saturate(builtin_rules(self.ns))
+            for region, log in self._observations.items():
+                self._saturated[region] = len(log)
+            self._view = None
         if self.config.persistence_dir is not None:
             self.persist(self.config.persistence_dir)
         return summary
@@ -294,12 +323,62 @@ class Pipeline:
         stamp = datetime.fromtimestamp(latest, tz=timezone.utc)
         return f"{stamp.year:04d}-{stamp.month:02d}"
 
+    # -- triples --------------------------------------------------------------
+
+    @property
+    def store(self) -> TripleStore:
+        """Every triple of the state, with its inferred mark: the store's own,
+        each observation's eight and, once saturated, its super-type triples.
+        A read-only view, built on demand and cached until the next write."""
+        with self.lock:
+            if self._view is None:
+                view = TripleStore()
+                for triple in self._facts:
+                    view.insert(triple, inferred=self._facts.is_inferred(triple))
+                rdf_type = Iri(RDF_NS + "type")
+                super_types = self._super_types(self._facts)
+                for obs, saturated in self._rendered_observations():
+                    for triple in observation_to_triples(self.ns, obs):
+                        view.insert(triple)
+                    if saturated:
+                        for cls in super_types:
+                            view.insert(Triple(obs.id, rdf_type, cls), inferred=True)
+                self._view = view
+            return self._view
+
+    def serialize(self) -> str:
+        """The state as N-Triples: ``store.serialize()``, rendered from the
+        observations' fields instead of their triples."""
+        with self.lock:
+            super_types = [term_text(cls) for cls in self._super_types(self._facts)]
+            lines: list[str] = []
+            for obs, saturated in self._rendered_observations():
+                lines.extend(self._lines.render(obs, super_types if saturated else ()))
+            return self._facts.serialize(lines)
+
+    def _super_types(self, triples: Iterable[Triple]) -> list[Term]:
+        """Classes ``triples`` make ``ex:ObservationEvent`` a subclass of; in a
+        saturated store, its whole subClassOf closure."""
+        event_class = self.ns.iri("ex:ObservationEvent")
+        sub_class = self.ns.iri("ex:subClassOf")
+        return list({t.object for t in triples
+                     if t.subject == event_class and t.predicate == sub_class} - {event_class})
+
+    def _rendered_observations(self):
+        """(observation, saturated) for each logged observation whose triples
+        the store does not hold itself."""
+        for region, log in self._observations.items():
+            mark = self._saturated[region]
+            for index, obs in enumerate(log):
+                if obs.id.value not in self._kept_in_facts:
+                    yield obs, index < mark
+
     # -- persistence ----------------------------------------------------------
 
     def persist(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(directory / STORE_FILE, self.store.serialize())
+        _atomic_write(directory / STORE_FILE, self.serialize())
         ik_lines = [
             json.dumps({
                 "indicator_id": o.indicator_id,
@@ -324,22 +403,30 @@ class Pipeline:
     def restore(self, directory: str | Path) -> None:
         """Rebuild forecastable state from persisted artifacts.
 
-        Observations come back out of the triple store through the inverse
-        mapping; engines stay empty (persisted firings stand in for them).
+        Observations come back into the log through the inverse mapping; the
+        store keeps every other triple. An observation from a sensor in no
+        region, or one whose lines are not exactly what ``serialize`` renders
+        for a saturated observation, keeps its triples in the store verbatim.
+        Engines stay empty (persisted firings stand in for them).
         """
         directory = Path(directory)
         store_path = directory / STORE_FILE
         if not store_path.is_file():
             raise SemDroughtError(f"no persisted store at {store_path}")
+        facts, observations, ids, kept = self._split_store(
+            store_path.read_text(encoding="utf-8"))
         with self.lock:
-            self.store = TripleStore.load(store_path.read_text(encoding="utf-8"))
+            self._facts = facts
+            self._observation_ids = ids
+            self._kept_in_facts = kept
             for region in self._observations:
                 self._observations[region] = []
-            for obs in extract_observations(self.store, self.ns):
-                region = self._region_of_sensor.get(obs.sensor_id.value)
-                if region is not None:
-                    self._observations[region].append(obs)
-                    self._event_count += 1
+            for obs in observations:
+                self._observations[self._region_of_sensor[obs.sensor_id.value]].append(obs)
+                self._event_count += 1
+            for region, log in self._observations.items():
+                self._saturated[region] = len(log)
+            self._view = None
             ik_path = directory / IK_LOG_FILE
             if ik_path.is_file():
                 for line in ik_path.read_text(encoding="utf-8").splitlines():
@@ -366,21 +453,62 @@ class Pipeline:
                         event=Event(kind=payload["kind"], timestamp=at),
                     )))
 
+    def _split_store(self, text: str):
+        """Parse a persisted store into (store, observations in timestamp order,
+        every observation id, ids of observations kept in the store)."""
+        rdf_type = Iri(RDF_NS + "type")
+        event_class = self.ns.iri("ex:ObservationEvent")
+        by_subject: dict[Term, list[tuple[str, Triple]]] = {}
+        for line, triple in parse_lines(text):
+            by_subject.setdefault(triple.subject, []).append((line, triple))
+        super_types = [term_text(cls) for cls in self._super_types(
+            t for _, t in by_subject.get(event_class, ()))]
+        kept_lines: list[str] = []
+        observations, ids, kept_ids = [], set(), set()
+        for group in by_subject.values():
+            lines = [line for line, _ in group]
+            if any(t.predicate == rdf_type and t.object == event_class for _, t in group):
+                obs = triples_to_observation(self.ns, [t for _, t in group])
+                ids.add(obs.id.value)
+                if obs.sensor_id.value in self._region_of_sensor:
+                    observations.append(obs)
+                    rendered = set(self._lines.render(obs, super_types))
+                    if rendered.issubset(lines):
+                        lines = [line for line in lines if line not in rendered]
+                    else:
+                        kept_ids.add(obs.id.value)
+            kept_lines.extend(lines)
+        observations.sort(key=lambda o: (o.timestamp, o.id.value))
+        return TripleStore.load("\n".join(kept_lines)), observations, ids, kept_ids
 
-def extract_observations(store: TripleStore, ns: Namespaces) -> list[CanonicalObservation]:
-    """All observations recoverable from a store, in timestamp order."""
-    rdf_type = Iri(RDF_NS + "type")
-    obs_class = ns.iri("ex:ObservationEvent")
-    subjects = {t.subject for t in store
-                if t.predicate == rdf_type and t.object == obs_class
-                and not store.is_inferred(t)}
-    grouped: dict[Iri, list] = {s: [] for s in subjects}
-    for triple in store:
-        if triple.subject in grouped:
-            grouped[triple.subject].append(triple)
-    observations = [triples_to_observation(ns, group) for group in grouped.values()]
-    observations.sort(key=lambda o: (o.timestamp, o.id.value))
-    return observations
+
+class ObservationLines:
+    """An observation's N-Triples lines rendered straight from its fields:
+    those of ``observation_to_triples``, in its order, then one ``rdf:type``
+    line per super-type (class terms already rendered by ``term_text``)."""
+
+    def __init__(self, ns: Namespaces):
+        self._type = term_text(ns.iri("rdf:type"))
+        self._event_class = term_text(ns.iri("ex:ObservationEvent"))
+        self._predicates = [self._type] + [term_text(ns.iri("ex:" + local)) for local in (
+            "bySensor", "observedProperty", "hasValue", "hasUnit", "atTime", "lat", "lon")]
+
+    def render(self, obs: CanonicalObservation, super_types=()) -> list[str]:
+        double = Datatype.DOUBLE
+        objects = (
+            self._event_class,
+            term_text(obs.sensor_id),
+            term_text(obs.property),
+            literal_text(canonical_double(obs.value), double),
+            term_text(obs.unit),
+            literal_text(format_utc_instant(obs.timestamp), Datatype.DATETIME),
+            literal_text(canonical_double(obs.lat), double),
+            literal_text(canonical_double(obs.lon), double),
+        )
+        s = term_text(obs.id)
+        lines = [statement(s, p, o) for p, o in zip(self._predicates, objects)]
+        lines.extend(statement(s, self._type, cls) for cls in super_types)
+        return lines
 
 
 def _atomic_write(path: Path, content: str) -> None:

@@ -6,6 +6,7 @@ deterministic line-oriented N-Triples subset for persistence.
 """
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import SemDroughtError
@@ -155,11 +156,11 @@ class TripleStore:
             binding = _unify(pattern, triple)
             if binding is None:
                 continue
-            key = tuple(sorted((k, _term_text(v)) for k, v in binding.items()))
+            key = tuple(sorted((k, term_text(v)) for k, v in binding.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(binding)
-        out.sort(key=lambda b: tuple(sorted((k, _term_text(v)) for k, v in b.items())))
+        out.sort(key=lambda b: tuple(sorted((k, term_text(v)) for k, v in b.items())))
         return out
 
     def query_bgp(self, patterns: list[TriplePattern]) -> list[Binding]:
@@ -179,7 +180,7 @@ class TripleStore:
                 break
         unique: dict[tuple, Binding] = {}
         for binding in solutions:
-            key = tuple(sorted((k, _term_text(v)) for k, v in binding.items()))
+            key = tuple(sorted((k, term_text(v)) for k, v in binding.items()))
             unique[key] = binding
         return [unique[key] for key in sorted(unique)]
 
@@ -202,19 +203,29 @@ class TripleStore:
 
     # -- persistence --------------------------------------------------------
 
-    def serialize(self) -> str:
-        """One triple per line, lexicographically sorted; inferred marks dropped."""
-        lines = sorted(_serialize_triple(t) for t in self._triples)
-        return "".join(line + "\n" for line in lines)
+    def serialize(self, extra_lines: Iterable[str] = ()) -> str:
+        """One triple per line, merged with ``extra_lines`` (triples already
+        rendered by ``term_text`` and ``statement``), deduplicated and
+        lexicographically sorted; inferred marks dropped."""
+        lines = {_serialize_triple(t) for t in self._triples}
+        lines.update(extra_lines)
+        return "".join(line + "\n" for line in sorted(lines))
 
     @classmethod
     def load(cls, text: str) -> "TripleStore":
         store = cls()
-        for number, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            store.insert(_parse_line(line, number))
+        for _, triple in parse_lines(text):
+            store.insert(triple)
         return store
+
+
+def parse_lines(text: str) -> Iterator[tuple[str, Triple]]:
+    """(line, triple) for each non-blank line of an N-Triples document;
+    raises ParseError, with its line number, on the first bad line."""
+    terms: dict[str, Term] = {}     # each distinct term text is parsed once
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield line, _parse_line(line, number, terms)
 
 
 def _escape(lexical: str) -> str:
@@ -227,17 +238,27 @@ def _unescape(lexical: str) -> str:
             .replace('\\"', '"').replace("\\\\", "\\"))
 
 
-def _term_text(term: Term) -> str:
+def literal_text(lexical: str, datatype: Datatype) -> str:
+    return f'"{_escape(lexical)}"^^<{datatype.iri}>'
+
+
+def term_text(term: Term) -> str:
+    """A term as it appears in an N-Triples line."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    return f'"{_escape(term.lexical)}"^^<{term.datatype.iri}>'
+    return literal_text(term.lexical, term.datatype)
+
+
+def statement(subject: str, predicate: str, obj: str) -> str:
+    """One N-Triples line from the terms' texts."""
+    return f"{subject} {predicate} {obj} ."
 
 
 def _serialize_triple(triple: Triple) -> str:
-    return (f"{_term_text(triple.subject)} {_term_text(triple.predicate)} "
-            f"{_term_text(triple.object)} .")
+    return statement(term_text(triple.subject), term_text(triple.predicate),
+                     term_text(triple.object))
 
 
 _LINE = re.compile(
@@ -267,15 +288,17 @@ def _parse_term(text: str, number: int) -> Term:
         raise ParseError(number, str(exc))
 
 
-def _parse_line(line: str, number: int) -> Triple:
+def _parse_line(line: str, number: int, terms: dict[str, Term]) -> Triple:
     match = _LINE.match(line)
     if match is None:
         raise ParseError(number, f"not a triple line: {line!r}")
-    return Triple(
-        _parse_term(match.group("s"), number),
-        _parse_term(match.group("p"), number),
-        _parse_term(match.group("o"), number),
-    )
+    parsed = []
+    for text in match.group("s", "p", "o"):
+        term = terms.get(text)
+        if term is None:
+            term = terms[text] = _parse_term(text, number)
+        parsed.append(term)
+    return Triple(*parsed)
 
 
 def builtin_rules(ns: Namespaces) -> list[InferenceRule]:

@@ -1,6 +1,7 @@
 """Tests for terms, lexical forms, the vocabulary and the observation mapping."""
 
 import math
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,29 @@ class TestLexicalForms:
         with pytest.raises(ValueError):
             parse_utc_instant(bad)
 
+    def test_field_ranges_match_strptime(self):
+        """Accepts and converts exactly what strptime does, at every field edge."""
+        def reference(text):
+            try:
+                dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+            except ValueError:
+                return None
+            return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+        def parsed(text):
+            try:
+                return parse_utc_instant(text)
+            except ValueError:
+                return None
+
+        dates = [f"{year}-{month:02d}-{day:02d}T12:30:45Z"
+                 for year in ("0000", "0001", "1900", "1969", "2000", "2023", "2024", "9999")
+                 for month in range(14) for day in range(33)]
+        clocks = [f"2024-02-29T{h}:{m}:{s}Z" for h in ("00", "23", "24")
+                  for m in ("00", "59", "60") for s in ("00", "59", "60", "61")]
+        for text in dates + clocks:
+            assert parsed(text) == reference(text), text
+
 
 class TestTerms:
     def test_iri_rejects_whitespace_and_empty(self):
@@ -106,6 +130,15 @@ class TestTerms:
             Iri("")
         with pytest.raises(ValueError):
             Iri("http://x.org/a b")
+
+    def test_whitespace_check_agrees_with_isspace_on_every_code_point(self):
+        def by_isspace(v):
+            return not v or any(map(str.isspace, v))
+
+        differ = [hex(code) for code in range(0x110000)
+                  for v in (chr(code), "a" + chr(code) + "b")
+                  if (v.split() != [v]) != by_isspace(v)]
+        assert differ == []
 
     def test_iri_accepts_registered_prefix(self):
         assert Iri("ex:soilMoisture").value == "ex:soilMoisture"

@@ -18,8 +18,25 @@ from semdrought.service import (
 )
 from semdrought.service.cli import main as cli_main
 from semdrought.service.httpd import serve
-from semdrought.service.pipeline import extract_observations
+from semdrought.model import RDF_NS, Iri, triples_to_observation
 from semdrought.store import TripleStore
+
+
+def extract_observations(store, ns):
+    """All observations recoverable from a store's asserted triples, in
+    timestamp order."""
+    rdf_type = Iri(RDF_NS + "type")
+    obs_class = ns.iri("ex:ObservationEvent")
+    subjects = {t.subject for t in store
+                if t.predicate == rdf_type and t.object == obs_class
+                and not store.is_inferred(t)}
+    grouped = {s: [] for s in subjects}
+    for triple in store:
+        if triple.subject in grouped:
+            grouped[triple.subject].append(triple)
+    observations = [triples_to_observation(ns, group) for group in grouped.values()]
+    observations.sort(key=lambda o: (o.timestamp, o.id.value))
+    return observations
 
 
 @pytest.fixture(scope="module")
