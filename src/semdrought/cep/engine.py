@@ -48,9 +48,6 @@ class Event:
             raise ValueError("event timestamp must be non-negative")
         if self.value is not None and not math.isfinite(self.value):
             raise ValueError("event value must be finite")
-        if isinstance(self.attributes, dict):
-            object.__setattr__(self, "attributes",
-                               tuple(sorted(self.attributes.items())))
 
     def attribute(self, name: str) -> str | None:
         for key, value in self.attributes:

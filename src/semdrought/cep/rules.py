@@ -415,7 +415,8 @@ def parse_rule(text: str, ns: Namespaces | None = None) -> CepRule:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _duration_text(seconds: int) -> str:
+def duration_text(seconds: int) -> str:
+    """A window length in the rule DSL's largest whole unit."""
     for unit, size in (("d", 86400), ("h", 3600), ("m", 60)):
         if seconds % size == 0:
             return f"{seconds // size}{unit}"
@@ -457,9 +458,9 @@ def _pattern_text(expr: PatternExpr) -> str:
 
 def rule_to_text(rule: CepRule) -> str:
     parts = [f"RULE {rule.name} WHEN {_pattern_text(rule.pattern)}",
-             f"WITHIN {_duration_text(rule.window.length)}"]
+             f"WITHIN {duration_text(rule.window.length)}"]
     if rule.window.mode == "sliding":
-        parts.append(f"STEP {_duration_text(rule.window.step)}")
+        parts.append(f"STEP {duration_text(rule.window.step)}")
     parts.append(f"EMIT {_term_text(rule.emit)}")
     parts.append(f"SEVERITY {canonical_double(rule.severity_weight)}")
     return " ".join(parts)

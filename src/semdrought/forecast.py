@@ -6,15 +6,15 @@ knowledge signal, and classifies the resulting vulnerability index.
 """
 
 import statistics
-from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 
 from .cep.engine import Firing
 from .errors import SemDroughtError
 from .ik import IkSignal
-from .model import CanonicalObservation, Iri, Namespaces, format_utc_instant
+from .model import CanonicalObservation, Iri, Namespaces, format_utc_instant, month_of
 
 MIN_BASELINE_COUNT = 5
 DEFAULT_IK_WINDOW_SECONDS = 90 * 86400
@@ -65,40 +65,23 @@ class Severity(IntEnum):
 DEFAULT_SEVERITY_THRESHOLDS = (0.25, 0.5, 0.75)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClimatologyEntry:
-    mean: float = 0.0
-    std: float = 0.0
-    count: int = 0
-    samples: list[float] = field(default_factory=list)   # kept sorted
-    usable: bool = False
+    mean: float
+    std: float
+    count: int
+    samples: list[float]    # sorted
+    usable: bool
 
 
 class BaselineClimatology:
     """Per (canonical property, calendar month) sample statistics."""
 
-    def __init__(self, min_count: int = MIN_BASELINE_COUNT):
-        self.min_count = min_count
-        self._entries: dict[tuple[str, int], ClimatologyEntry] = {}
+    def __init__(self, entries: dict[tuple[str, int], ClimatologyEntry]):
+        self._entries = entries
 
     def entry(self, prop: Iri, month: int) -> ClimatologyEntry | None:
         return self._entries.get((prop.value, month))
-
-    def add_sample(self, prop: Iri, month: int, value: float) -> None:
-        entry = self._entries.setdefault((prop.value, month), ClimatologyEntry())
-        insort(entry.samples, value)
-
-    def finalize(self) -> None:
-        for entry in self._entries.values():
-            entry.count = len(entry.samples)
-            entry.mean = statistics.fmean(entry.samples) if entry.samples else 0.0
-            entry.std = (statistics.stdev(entry.samples)
-                         if entry.count >= 2 else 0.0)
-            entry.usable = entry.count >= self.min_count and entry.std > 0.0
-
-
-def month_of(timestamp: int) -> int:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).month
 
 
 def build_climatology(
@@ -107,11 +90,18 @@ def build_climatology(
 ) -> BaselineClimatology:
     """Group observation values by (property, calendar month); sample mean
     and n-1 standard deviation; short or flat entries are marked unusable."""
-    climatology = BaselineClimatology(min_count)
+    groups: dict[tuple[str, int], list[float]] = {}
     for obs in history:
-        climatology.add_sample(obs.property, month_of(obs.timestamp), obs.value)
-    climatology.finalize()
-    return climatology
+        groups.setdefault((obs.property.value, month_of(obs.timestamp)), []).append(obs.value)
+    entries = {}
+    for key, samples in groups.items():
+        samples.sort()
+        std = statistics.stdev(samples) if len(samples) >= 2 else 0.0
+        entries[key] = ClimatologyEntry(
+            mean=statistics.fmean(samples), std=std, count=len(samples),
+            samples=samples, usable=len(samples) >= min_count and std > 0.0,
+        )
+    return BaselineClimatology(entries)
 
 
 def standardized_anomaly(x: float, mean: float, std: float) -> float:

@@ -7,16 +7,16 @@ signed dryness signal and compile into count-based detection rules.
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import SemDroughtError
 from .cep.engine import Event
-from .cep.rules import CepRule, parse_rule
-from .model import Namespaces
+from .cep.rules import CepRule, duration_text, parse_rule
+from .model import Namespaces, month_of
 
 DRIER_EVENT_KIND = "IkDrierObservation"
 WETTER_EVENT_KIND = "IkWetterObservation"
+IK_RULE_SEVERITY = 0.4
 
 
 class IkError(SemDroughtError):
@@ -89,10 +89,6 @@ class IkSignal:
             raise ValueError("a signal without support must be zero")
 
 
-def _month_of(timestamp: int) -> int:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).month
-
-
 class IkRegistry:
     """Indicator definitions plus the append-only observation log."""
 
@@ -127,39 +123,41 @@ class IkRegistry:
             raise UnknownIndicatorError(f"unknown indicator: {obs.indicator_id}")
         if not 0.0 <= obs.confidence <= 1.0:
             raise BadConfidenceError(f"confidence out of [0, 1]: {obs.confidence}")
-        month = _month_of(obs.timestamp)
+        month = month_of(obs.timestamp)
         if month not in indicator.season:
             raise OutOfSeasonError(
                 f"indicator {indicator.id} is out of season in month {month}"
             )
-        self._log.append(obs)
         kind = (DRIER_EVENT_KIND if indicator.valence is Valence.DRIER
                 else WETTER_EVENT_KIND)
-        return Event(
+        event = Event(
             kind=kind,
             timestamp=obs.timestamp,
             value=indicator.weight * obs.confidence,
             attributes=(("indicator", indicator.id), ("region", obs.region)),
         )
+        self._log.append(obs)
+        return event
 
     def signal(self, region: str, window: tuple[int, int]) -> IkSignal:
         """Weighted dryness ratio over in-window (start, end] observations."""
         start, end = window
+        in_window = [obs for obs in self._log
+                     if obs.region == region and start < obs.timestamp <= end]
+        top = max((obs.confidence for obs in in_window), default=0.0)
+        if top == 0.0:
+            return IkSignal(value=0.0, support=len(in_window))
         numerator = 0.0
         denominator = 0.0
-        support = 0
-        for obs in self._log:
-            if obs.region != region or not start < obs.timestamp <= end:
-                continue
+        for obs in in_window:
             indicator = self._indicators[obs.indicator_id]
-            mass = indicator.weight * obs.confidence
+            # confidences relative to the largest, so that tiny ones do not
+            # underflow to a zero mass; the ratio is unchanged
+            mass = indicator.weight * (obs.confidence / top)
             numerator += indicator.valence.value * mass
             denominator += mass
-            support += 1
-        if support == 0 or denominator == 0.0:
-            return IkSignal(value=0.0, support=support)
         value = numerator / denominator
-        return IkSignal(value=max(-1.0, min(1.0, value)), support=support)
+        return IkSignal(value=max(-1.0, min(1.0, value)), support=len(in_window))
 
     @classmethod
     def from_json(cls, document: str) -> "IkRegistry":
@@ -189,29 +187,19 @@ def compile_indicator_rules(
     k: int,
     window_seconds: int,
     ns: Namespaces | None = None,
-    severity: float = 0.4,
 ) -> list[CepRule]:
-    """Count-threshold rules over the drier and wetter observation streams.
-
-    The texts are fed back through the rule parser so the compiled form is
-    guaranteed to round-trip."""
+    """Count-threshold rules over the drier and wetter observation streams,
+    the same for any ``indicators``. The texts are fed back through the rule
+    parser so the compiled form is guaranteed to round-trip."""
     if k < 1:
         raise ValueError("observation count threshold must be at least 1")
     if window_seconds <= 0 or window_seconds % 60:
         raise ValueError("window must be a positive whole number of minutes")
-    del indicators  # reserved for per-indicator rule variants
-    window = _window_text(window_seconds)
+    window = duration_text(window_seconds)
     texts = [
         f"RULE ik_drier WHEN COUNT({DRIER_EVENT_KIND}) >= {k} "
-        f"WITHIN {window} EMIT IkDrierSignal SEVERITY {severity}",
+        f"WITHIN {window} EMIT IkDrierSignal SEVERITY {IK_RULE_SEVERITY}",
         f"RULE ik_wetter WHEN COUNT({WETTER_EVENT_KIND}) >= {k} "
-        f"WITHIN {window} EMIT IkWetterSignal SEVERITY {severity}",
+        f"WITHIN {window} EMIT IkWetterSignal SEVERITY {IK_RULE_SEVERITY}",
     ]
     return [parse_rule(text, ns) for text in texts]
-
-
-def _window_text(seconds: int) -> str:
-    for unit, size in (("d", 86400), ("h", 3600), ("m", 60)):
-        if seconds % size == 0:
-            return f"{seconds // size}{unit}"
-    raise ValueError("window must be expressible in whole minutes")

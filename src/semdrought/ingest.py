@@ -21,7 +21,8 @@ from .model import (
     parse_utc_instant,
 )
 
-DEFAULT_CSV_SCHEMA = ("sensor_id", "property", "value", "unit", "timestamp", "lat", "lon")
+# in the order of RawObservation's fields
+CSV_COLUMNS = ("sensor_id", "property", "value", "unit", "timestamp", "lat", "lon")
 
 
 class IngestError(SemDroughtError):
@@ -113,27 +114,13 @@ class RawObservation:
 # Format parsers
 # ---------------------------------------------------------------------------
 
-def parse_csv_line(line: str, schema: tuple[str, ...] = DEFAULT_CSV_SCHEMA) -> RawObservation:
-    """Comma-split with whitespace trimming; no quoting support."""
-    if sorted(schema) != sorted(DEFAULT_CSV_SCHEMA):
-        raise ValueError(f"schema must permute {DEFAULT_CSV_SCHEMA}")
+def parse_csv_line(line: str) -> RawObservation:
+    """Comma-split in ``CSV_COLUMNS`` order with whitespace trimming; no
+    quoting support."""
     fields = [f.strip() for f in line.split(",")]
-    if len(fields) != len(schema):
-        raise ColumnCountError(f"expected {len(schema)} columns, got {len(fields)}")
-    record = dict(zip(schema, fields))
-    for column in ("sensor_id", "property", "value", "unit", "timestamp"):
-        if not record[column]:
-            raise EmptyFieldError(f"column {column} is blank")
-    return RawObservation(
-        source_format="csv",
-        sensor_id_raw=record["sensor_id"],
-        property_raw=record["property"],
-        value_raw=record["value"],
-        unit_raw=record["unit"],
-        timestamp_raw=record["timestamp"],
-        lat_raw=record["lat"],
-        lon_raw=record["lon"],
-    )
+    if len(fields) != len(CSV_COLUMNS):
+        raise ColumnCountError(f"expected {len(CSV_COLUMNS)} columns, got {len(fields)}")
+    return RawObservation("csv", *fields)
 
 
 def _json_scalar(value, key: str, allow_number: bool) -> str:
@@ -324,6 +311,17 @@ def _parse_number(text: str, what: str) -> float:
     return value
 
 
+def parse_timestamp(text: str) -> int:
+    """Epoch seconds of an ISO-8601 UTC instant no earlier than the epoch."""
+    try:
+        timestamp = parse_utc_instant(text)
+    except ValueError as exc:
+        raise BadTimestampError(str(exc))
+    if timestamp < 0:
+        raise BadTimestampError(f"timestamp before epoch: {text!r}")
+    return timestamp
+
+
 def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObservation:
     """Resolve vocabulary, convert units, and mint the observation IRI."""
     prop = table.term(raw.property_raw)
@@ -345,12 +343,7 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
         )
 
     value = convert_unit(_parse_number(raw.value_raw, "value"), unit_entry)
-    try:
-        timestamp = parse_utc_instant(raw.timestamp_raw)
-    except ValueError as exc:
-        raise BadTimestampError(str(exc))
-    if timestamp < 0:
-        raise BadTimestampError(f"timestamp before epoch: {raw.timestamp_raw!r}")
+    timestamp = parse_timestamp(raw.timestamp_raw)
 
     sensor = table.sensor(raw.sensor_id_raw)
     if raw.lat_raw and raw.lon_raw:

@@ -143,6 +143,11 @@ def format_utc_instant(timestamp: int) -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def month_of(timestamp: int) -> int:
+    """Calendar month, 1..12, of an epoch-seconds instant in UTC."""
+    return datetime.fromtimestamp(timestamp, tz=timezone.utc).month
+
+
 _UTC_INSTANT = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z")
 
 
@@ -302,10 +307,6 @@ def mint_observation_iri(ns: Namespaces, sensor_id: Iri, timestamp: int) -> Iri:
     return ns.join(f"obs/{sensor_id.local_name()}/{int(timestamp)}")
 
 
-# predicate local names in serialization order
-_OBS_PREDICATES = ("bySensor", "observedProperty", "hasValue", "hasUnit", "atTime", "lat", "lon")
-
-
 def observation_to_triples(ns: Namespaces, obs: CanonicalObservation) -> list[Triple]:
     """Exactly eight triples, in a fixed order, with distinct predicates."""
     return [
@@ -355,20 +356,16 @@ def triples_to_observation(ns: Namespaces, triples: set[Triple] | list[Triple]) 
         return term
 
     try:
-        value = as_literal(fetch("hasValue"), Datatype.DOUBLE, "hasValue").as_float()
-        lat = as_literal(fetch("lat"), Datatype.DOUBLE, "lat").as_float()
-        lon = as_literal(fetch("lon"), Datatype.DOUBLE, "lon").as_float()
-        timestamp = parse_utc_instant(as_literal(fetch("atTime"), Datatype.DATETIME, "atTime").lexical)
-    except ValueError as exc:
+        return CanonicalObservation(
+            id=subject,
+            sensor_id=as_iri(fetch("bySensor"), "bySensor"),
+            property=as_iri(fetch("observedProperty"), "observedProperty"),
+            value=as_literal(fetch("hasValue"), Datatype.DOUBLE, "hasValue").as_float(),
+            unit=as_iri(fetch("hasUnit"), "hasUnit"),
+            timestamp=parse_utc_instant(
+                as_literal(fetch("atTime"), Datatype.DATETIME, "atTime").lexical),
+            lat=as_literal(fetch("lat"), Datatype.DOUBLE, "lat").as_float(),
+            lon=as_literal(fetch("lon"), Datatype.DOUBLE, "lon").as_float(),
+        )
+    except ValueError as exc:    # a bad lexical form or an out-of-range field
         raise BadLiteralError(str(exc))
-
-    return CanonicalObservation(
-        id=subject,
-        sensor_id=as_iri(fetch("bySensor"), "bySensor"),
-        property=as_iri(fetch("observedProperty"), "observedProperty"),
-        value=value,
-        unit=as_iri(fetch("hasUnit"), "hasUnit"),
-        timestamp=timestamp,
-        lat=lat,
-        lon=lon,
-    )

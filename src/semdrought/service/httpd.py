@@ -13,9 +13,11 @@ from ..cep.engine import OutOfOrderError
 from ..cep.rules import rule_to_text
 from ..errors import SemDroughtError
 from ..forecast import InsufficientBaselineError, NoDataError
-from ..ik import IkError
-from ..ingest import IngestError
-from .pipeline import DuplicateObservationError, Pipeline, UnknownRegionError
+from .pipeline import Pipeline, UnknownRegionError
+
+
+class BadRequestError(SemDroughtError):
+    code = "BadRequest"
 
 
 class ApiServer(ThreadingHTTPServer):
@@ -49,8 +51,14 @@ class ApiHandler(BaseHTTPRequestHandler):
         self._send(status, payload)
 
     def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length).decode("utf-8")
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():
+            self.close_connection = True    # the body's end is unknown
+            raise BadRequestError("Content-Length must be a non-negative integer")
+        try:
+            return self.rfile.read(int(length)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadRequestError(f"body is not UTF-8: {exc}")
 
     def do_GET(self):
         url = urlparse(self.path)
@@ -70,9 +78,7 @@ class ApiHandler(BaseHTTPRequestHandler):
                 return
             try:
                 bulletin = pipeline.bulletin(region, period)
-            except UnknownRegionError as exc:
-                self._error(404, exc)
-            except NoDataError as exc:
+            except (UnknownRegionError, NoDataError) as exc:
                 self._error(404, exc)
             except InsufficientBaselineError as exc:
                 self._error(503, exc)
@@ -86,33 +92,23 @@ class ApiHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         url = urlparse(self.path)
         pipeline = self.server.pipeline
-        if url.path == "/observations":
-            try:
-                obs, firings = pipeline.ingest_payload("json", self._read_body())
-            except OutOfOrderError as exc:
-                self._error(409, exc)
-            except (IngestError, UnknownRegionError, DuplicateObservationError) as exc:
-                self._error(400, exc)
-            except SemDroughtError as exc:
-                self._error(400, exc)
-            else:
-                self._send(200, {
-                    "accepted": True,
-                    "id": obs.id.value,
-                    "firings": len(firings),
-                })
+        if url.path not in ("/observations", "/ik"):
+            self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
             return
-        if url.path == "/ik":
-            try:
-                firings = pipeline.ingest_ik_json(self._read_body())
-            except OutOfOrderError as exc:
-                self._error(409, exc)
-            except (IngestError, IkError, UnknownRegionError) as exc:
-                self._error(400, exc)
+        try:
+            body = self._read_body()
+            if url.path == "/observations":
+                obs, firings = pipeline.ingest_payload("json", body)
+                reply = {"accepted": True, "id": obs.id.value, "firings": len(firings)}
             else:
-                self._send(200, {"accepted": True, "firings": len(firings)})
-            return
-        self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
+                firings = pipeline.ingest_ik_json(body)
+                reply = {"accepted": True, "firings": len(firings)}
+        except OutOfOrderError as exc:
+            self._error(409, exc)
+        except SemDroughtError as exc:
+            self._error(400, exc)
+        else:
+            self._send(200, reply)
 
 
 def serve(pipeline: Pipeline, host: str | None = None, port: int | None = None) -> ApiServer:

@@ -32,9 +32,9 @@ from ..ik import IkObservation, IkRegistry, compile_indicator_rules
 from ..ingest import (
     AlignmentTable,
     IngestError,
-    RawObservation,
     canonicalize,
     parse_payload,
+    parse_timestamp,
 )
 from ..model import (
     RDF_NS,
@@ -52,6 +52,7 @@ from ..model import (
     triples_to_observation,
 )
 from ..store import (
+    ParseError,
     TripleStore,
     builtin_rules,
     literal_text,
@@ -152,10 +153,6 @@ class Pipeline:
     # -- ingestion ------------------------------------------------------------
 
     @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(self.config.regions)
-
-    @property
     def event_count(self) -> int:
         return self._event_count
 
@@ -169,9 +166,10 @@ class Pipeline:
             raise UnknownRegionError(f"sensor {sensor.value} belongs to no region")
         return region
 
-    def ingest_raw(self, raw: RawObservation) -> tuple[CanonicalObservation, list[Firing]]:
-        """Canonicalize, log and stream into the region engine."""
-        obs = canonicalize(raw, self.table)
+    def ingest_payload(self, source_format: str,
+                       payload: str) -> tuple[CanonicalObservation, list[Firing]]:
+        """Parse, canonicalize, log and stream into the region engine."""
+        obs = canonicalize(parse_payload(source_format, payload), self.table)
         with self.lock:
             region = self.region_of(obs.sensor_id)
             if obs.id.value in self._observation_ids:
@@ -192,10 +190,14 @@ class Pipeline:
             self._log_firings(region, firings)
         return obs, firings
 
-    def ingest_payload(self, source_format: str, payload: str):
-        return self.ingest_raw(parse_payload(source_format, payload))
-
-    def ingest_ik(self, obs: IkObservation) -> list[Firing]:
+    def ingest_ik_json(self, document: str) -> list[Firing]:
+        """Parse an indigenous-knowledge report, log it and stream it into
+        the region engine."""
+        try:
+            payload = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"bad indigenous-knowledge payload: {exc}")
+        obs = _ik_observation(payload)
         with self.lock:
             if obs.region not in self.config.regions:
                 raise UnknownRegionError(f"unknown region: {obs.region}")
@@ -204,19 +206,6 @@ class Pipeline:
             self._event_count += 1
             self._log_firings(obs.region, firings)
         return firings
-
-    def ingest_ik_json(self, document: str) -> list[Firing]:
-        try:
-            payload = json.loads(document)
-            obs = IkObservation(
-                indicator_id=str(payload["indicator_id"]),
-                timestamp=parse_utc_instant(payload["timestamp"]),
-                region=str(payload["region"]),
-                confidence=float(payload["confidence"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"bad indigenous-knowledge payload: {exc}")
-        return self.ingest_ik(obs)
 
     def _log_firings(self, region: str, firings: list[Firing]) -> None:
         self._firings.extend((region, f) for f in firings)
@@ -318,10 +307,7 @@ class Pipeline:
         observations = self._observations[region]
         if not observations:
             raise NoDataError(f"no observations for region {region}")
-        from datetime import datetime, timezone
-        latest = max(o.timestamp for o in observations)
-        stamp = datetime.fromtimestamp(latest, tz=timezone.utc)
-        return f"{stamp.year:04d}-{stamp.month:02d}"
+        return format_utc_instant(max(o.timestamp for o in observations))[:7]
 
     # -- triples --------------------------------------------------------------
 
@@ -379,26 +365,18 @@ class Pipeline:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         _atomic_write(directory / STORE_FILE, self.serialize())
-        ik_lines = [
-            json.dumps({
-                "indicator_id": o.indicator_id,
-                "timestamp": format_utc_instant(o.timestamp),
-                "region": o.region,
-                "confidence": o.confidence,
-            }, sort_keys=True)
-            for o in self.ik.observations
-        ]
-        _atomic_write(directory / IK_LOG_FILE, "".join(l + "\n" for l in ik_lines))
-        firing_lines = [
-            json.dumps({
-                "region": region,
-                "rule": firing.rule,
-                "at": format_utc_instant(firing.window_end),
-                "kind": firing.event.kind,
-            }, sort_keys=True)
-            for region, firing in self._firings
-        ]
-        _atomic_write(directory / FIRING_LOG_FILE, "".join(l + "\n" for l in firing_lines))
+        _write_jsonl(directory / IK_LOG_FILE, ({
+            "indicator_id": o.indicator_id,
+            "timestamp": format_utc_instant(o.timestamp),
+            "region": o.region,
+            "confidence": o.confidence,
+        } for o in self.ik.observations))
+        _write_jsonl(directory / FIRING_LOG_FILE, ({
+            "region": region,
+            "rule": firing.rule,
+            "at": format_utc_instant(firing.window_end),
+            "kind": firing.event.kind,
+        } for region, firing in self._firings))
 
     def restore(self, directory: str | Path) -> None:
         """Rebuild forecastable state from persisted artifacts.
@@ -413,11 +391,11 @@ class Pipeline:
         store_path = directory / STORE_FILE
         if not store_path.is_file():
             raise SemDroughtError(f"no persisted store at {store_path}")
-        facts, observations, ids, kept = self._split_store(
+        facts, observations, kept = self._split_store(
             store_path.read_text(encoding="utf-8"))
         with self.lock:
             self._facts = facts
-            self._observation_ids = ids
+            self._observation_ids = {obs.id.value for obs in observations}
             self._kept_in_facts = kept
             for region in self._observations:
                 self._observations[region] = []
@@ -427,35 +405,14 @@ class Pipeline:
             for region, log in self._observations.items():
                 self._saturated[region] = len(log)
             self._view = None
-            ik_path = directory / IK_LOG_FILE
-            if ik_path.is_file():
-                for line in ik_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    payload = json.loads(line)
-                    self.ik.record_observation(IkObservation(
-                        indicator_id=payload["indicator_id"],
-                        timestamp=parse_utc_instant(payload["timestamp"]),
-                        region=payload["region"],
-                        confidence=float(payload["confidence"]),
-                    ))
-                    self._event_count += 1
-            firing_path = directory / FIRING_LOG_FILE
-            self._firings = []
-            if firing_path.is_file():
-                for line in firing_path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    payload = json.loads(line)
-                    at = parse_utc_instant(payload["at"])
-                    self._firings.append((payload["region"], Firing(
-                        rule=payload["rule"], window_end=at,
-                        event=Event(kind=payload["kind"], timestamp=at),
-                    )))
+            self._event_count += len(_read_jsonl(
+                directory / IK_LOG_FILE,
+                lambda payload: self.ik.record_observation(_ik_observation(payload))))
+            self._firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)
 
     def _split_store(self, text: str):
         """Parse a persisted store into (store, observations in timestamp order,
-        every observation id, ids of observations kept in the store)."""
+        ids of observations kept in the store)."""
         rdf_type = Iri(RDF_NS + "type")
         event_class = self.ns.iri("ex:ObservationEvent")
         by_subject: dict[Term, list[tuple[str, Triple]]] = {}
@@ -464,12 +421,11 @@ class Pipeline:
         super_types = [term_text(cls) for cls in self._super_types(
             t for _, t in by_subject.get(event_class, ()))]
         kept_lines: list[str] = []
-        observations, ids, kept_ids = [], set(), set()
+        observations, kept_ids = [], set()
         for group in by_subject.values():
             lines = [line for line, _ in group]
             if any(t.predicate == rdf_type and t.object == event_class for _, t in group):
                 obs = triples_to_observation(self.ns, [t for _, t in group])
-                ids.add(obs.id.value)
                 if obs.sensor_id.value in self._region_of_sensor:
                     observations.append(obs)
                     rendered = set(self._lines.render(obs, super_types))
@@ -479,7 +435,7 @@ class Pipeline:
                         kept_ids.add(obs.id.value)
             kept_lines.extend(lines)
         observations.sort(key=lambda o: (o.timestamp, o.id.value))
-        return TripleStore.load("\n".join(kept_lines)), observations, ids, kept_ids
+        return TripleStore.load("\n".join(kept_lines)), observations, kept_ids
 
 
 class ObservationLines:
@@ -509,6 +465,48 @@ class ObservationLines:
         lines = [statement(s, p, o) for p, o in zip(self._predicates, objects)]
         lines.extend(statement(s, self._type, cls) for cls in super_types)
         return lines
+
+
+def _ik_observation(payload) -> IkObservation:
+    """An indigenous-knowledge report from its JSON object, as posted to
+    ``ingest_ik_json`` and as ``persist`` logs it."""
+    try:
+        return IkObservation(
+            indicator_id=str(payload["indicator_id"]),
+            timestamp=parse_timestamp(str(payload["timestamp"])),
+            region=str(payload["region"]),
+            confidence=float(payload["confidence"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"bad indigenous-knowledge payload: {exc}")
+
+
+def _logged_firing(payload) -> tuple[str, Firing]:
+    """A (region, firing) pair from its ``persist`` log record."""
+    at = parse_utc_instant(payload["at"])
+    return str(payload["region"]), Firing(
+        rule=str(payload["rule"]), window_end=at,
+        event=Event(kind=str(payload["kind"]), timestamp=at),
+    )
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    _atomic_write(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+
+def _read_jsonl(path: Path, build) -> list:
+    """``build(record)`` for each record of a JSONL file, if the file exists;
+    a bad line raises ParseError naming the file and the line."""
+    if not path.is_file():
+        return []
+    out = []
+    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if line.strip():
+            try:
+                out.append(build(json.loads(line)))
+            except (KeyError, TypeError, ValueError, SemDroughtError) as exc:
+                raise ParseError(number, f"{path}: {exc}") from exc
+    return out
 
 
 def _atomic_write(path: Path, content: str) -> None:

@@ -149,22 +149,18 @@ class TripleStore:
         return min(pools, key=len)
 
     def match_pattern(self, pattern: TriplePattern) -> list[Binding]:
-        """One binding per unifying triple; ground patterns yield [{}] if present."""
+        """One binding per unifying triple, in no fixed order; distinct
+        triples give distinct bindings. Ground patterns yield [{}] if present."""
         out: list[Binding] = []
-        seen: set[tuple] = set()
         for triple in self._candidates(pattern):
             binding = _unify(pattern, triple)
-            if binding is None:
-                continue
-            key = tuple(sorted((k, term_text(v)) for k, v in binding.items()))
-            if key not in seen:
-                seen.add(key)
+            if binding is not None:
                 out.append(binding)
-        out.sort(key=lambda b: tuple(sorted((k, term_text(v)) for k, v in b.items())))
         return out
 
     def query_bgp(self, patterns: list[TriplePattern]) -> list[Binding]:
-        """Natural join of the per-pattern solutions on shared variables."""
+        """Natural join of the per-pattern solutions on shared variables,
+        sorted by the bindings' term texts."""
         if not patterns:
             raise ValueError("query needs at least one pattern")
         solutions: list[Binding] = [{}]
@@ -178,11 +174,8 @@ class TripleStore:
             solutions = next_solutions
             if not solutions:
                 break
-        unique: dict[tuple, Binding] = {}
-        for binding in solutions:
-            key = tuple(sorted((k, term_text(v)) for k, v in binding.items()))
-            unique[key] = binding
-        return [unique[key] for key in sorted(unique)]
+        solutions.sort(key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
+        return solutions
 
     def saturate(self, rules: list[InferenceRule]) -> int:
         """Forward-chain to the least fixpoint; returns distinct new triples."""

@@ -1,0 +1,125 @@
+"""Malformed input at the service's edges: HTTP request bodies, indigenous-
+knowledge reports dated before the epoch and damaged persisted state. Each
+gets a typed error and a defined HTTP status or CLI exit code, never a
+dropped connection or a traceback."""
+
+import http.client
+import json
+import re
+import shutil
+import socket
+import threading
+
+import pytest
+
+import scenario
+from semdrought.service import Pipeline, load_config
+from semdrought.service.cli import main as cli_main
+from semdrought.service.httpd import serve
+
+PRE_EPOCH_IK = {"indicator_id": "ants_nest_high", "timestamp": "1969-12-01T00:00:00Z",
+                "region": "r1", "confidence": 1.0}
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    target = tmp_path_factory.mktemp("edges")
+    scenario.generate_scenario(target)
+    return target
+
+
+@pytest.fixture
+def server(scenario_dir):
+    """A server over a fresh pipeline that holds no observations."""
+    pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
+    httpd = serve(pipeline, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield httpd.server_address[1], pipeline
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def raw_post(port: int, path: str, body: bytes, length: bytes | None = None):
+    """(status, JSON reply) of a POST sent over a raw socket, with ``length``
+    as its Content-Length (the body's own length by default)."""
+    if length is None:
+        length = str(len(body)).encode()
+    request = (b"POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\r\n"
+               % (path.encode(), length)) + body
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+BAD_BODIES = {          # case -> (Content-Length, body)
+    "non_numeric_length": (b"ten", b"{}"),
+    "negative_length": (b"-1", b"{}"),
+    "non_utf8_body": (None, b'{"region": "\xff"}'),
+}
+
+
+class TestHttpBodies:
+    @pytest.mark.parametrize("route", ["/observations", "/ik"])
+    @pytest.mark.parametrize("case", sorted(BAD_BODIES))
+    def test_bad_body_gets_400(self, server, route, case):
+        port, pipeline = server
+        length, body = BAD_BODIES[case]
+        status, reply = raw_post(port, route, body, length)
+        assert status == 400
+        assert reply["error"] == "BadRequest"
+        assert pipeline.event_count == 0
+
+
+class TestPreEpochIkReport:
+    def test_replay_rejects_it_unlogged(self, scenario_dir, tmp_path):
+        pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
+        data = tmp_path / "ik.txt"
+        data.write_text("ik|" + json.dumps(PRE_EPOCH_IK) + "\n")
+        summary = pipeline.replay(data)
+        assert summary.rejected == {"BadTimestamp": 1}
+        assert pipeline.ik.observations == ()
+
+    def test_post_gets_400(self, server):
+        port, pipeline = server
+        status, reply = raw_post(port, "/ik", json.dumps(PRE_EPOCH_IK).encode())
+        assert status == 400
+        assert reply["error"] == "BadTimestamp"
+        assert pipeline.ik.observations == ()
+
+
+@pytest.fixture(scope="module")
+def persisted(tmp_path_factory):
+    """A scenario replayed through the CLI, with its state persisted."""
+    target = tmp_path_factory.mktemp("persisted")
+    scenario.generate_scenario(target)
+    assert cli_main(["replay", "--config", str(scenario.config_path(target)),
+                     "--input", str(scenario.dataset_path(target))]) == 0
+    return target
+
+
+class TestDamagedState:
+    @pytest.mark.parametrize("file_name, damage, reported", [
+        ("ik_log.jsonl", lambda text: text + "{not json\n", "ik_log.jsonl"),
+        ("firings.jsonl", lambda text: text + '{"region": "r1"}\n', "firings.jsonl"),
+        ("store.nt", lambda text: re.sub(r'(#lat> )"[^"]*"', r'\1"95"', text, count=1),
+         "latitude out of range"),
+    ])
+    def test_commands_exit_2(self, persisted, tmp_path, capsys, file_name, damage, reported):
+        target = tmp_path / "copy"
+        shutil.copytree(persisted, target)
+        path = target / "state" / file_name
+        text = path.read_text(encoding="utf-8")
+        damaged = damage(text)
+        assert damaged != text
+        path.write_text(damaged, encoding="utf-8")
+        capsys.readouterr()
+        config = str(scenario.config_path(target))
+        assert cli_main(["export", "--config", config, "--out", str(tmp_path / "out.nt")]) == 2
+        assert cli_main(["forecast", "--config", config, "--region", "r1",
+                         "--period", "2022-01"]) == 2
+        assert capsys.readouterr().err.count(reported) == 2

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semdrought.cep import parse_rule, rule_to_text
@@ -123,6 +123,12 @@ class TestRecordObservation:
         event = self.registry.record_observation(observation())
         assert event.attribute("region") == "free_state"
 
+    def test_rejected_event_is_not_logged(self):
+        september_1969 = -9590400
+        with pytest.raises(ValueError):
+            self.registry.record_observation(observation(ts=september_1969))
+        assert self.registry.observations == ()
+
 
 WINDOW = (SEPTEMBER - 45 * 86400, SEPTEMBER + 45 * 86400)
 
@@ -205,6 +211,7 @@ class TestSignal:
         assert a.value == pytest.approx(-b.value, abs=1e-12)
 
     @given(entries_strategy, st.floats(min_value=0.1, max_value=1.0))
+    @example([(Valence.DRIER, 1.0, 5e-324)], 0.5)   # weight * confidence underflows
     def test_uniform_weight_rescaling_invariant(self, entries, factor):
         scaled = [(v, w * factor, c) for v, w, c in entries]
         a = build_registry(entries).signal("free_state", WINDOW)

@@ -84,11 +84,6 @@ class TestCsvParser:
         raw = parse_csv_line("s1,soil_hum,23.5,%,2023-01-01T00:00:00Z,,")
         assert raw.lat_raw == "" and raw.lon_raw == ""
 
-    def test_reordered_schema(self):
-        schema = ("value", "unit", "sensor_id", "property", "timestamp", "lat", "lon")
-        raw = parse_csv_line("23.5,%,s1,soil_hum,2023-01-01T00:00:00Z,,", schema)
-        assert raw.sensor_id_raw == "s1" and raw.value_raw == "23.5"
-
     def test_embedded_comma_changes_arity(self):
         with pytest.raises(ColumnCountError):
             parse_csv_line('s1,"a,b",23.5,%,2023-01-01T00:00:00Z,-29.1,26.2')

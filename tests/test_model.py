@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from semdrought.model import (
     AmbiguousError,
+    BadLiteralError,
     BlankNode,
     CanonicalObservation,
     Datatype,
@@ -269,6 +270,14 @@ class TestObservationTriples:
         )
         with pytest.raises(AmbiguousError):
             triples_to_observation(NS, union)
+
+    def test_out_of_range_literal_is_bad_literal(self):
+        lat = NS.iri("ex:lat")
+        triples = [Triple(t.subject, t.predicate, Literal("95", Datatype.DOUBLE))
+                   if t.predicate == lat else t
+                   for t in observation_to_triples(NS, make_obs())]
+        with pytest.raises(BadLiteralError):
+            triples_to_observation(NS, triples)
 
 
 class TestObservationInvariants:

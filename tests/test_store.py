@@ -190,9 +190,11 @@ class TestQueryBgp:
                     for i in range(3)
                 ]
                 patterns.append(TriplePattern(*slots))
-            got = as_tuples(store.query_bgp(patterns), patterns)
+            bindings = store.query_bgp(patterns)
+            got = as_tuples(bindings, patterns)
             expected = oracle_bgp(stored, patterns)
             assert got == expected
+            assert len(bindings) == len(got)    # with no dedupe, still no repeats
 
 
 SUBCLASS_TRANSITIVITY = InferenceRule(
