@@ -19,7 +19,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import SemDroughtError
-from .rules import Absent, Aggregate, And, CepRule, Not, Or, Seq, Threshold, Trend
+from .rules import (
+    COMPARATORS, Absent, Aggregate, And, CepRule, Not, Or, Seq, Threshold, Trend,
+)
 
 SECONDS_PER_DAY = 86400.0
 
@@ -62,16 +64,6 @@ class Firing:
     window_end: int
     event: Event
     evidence: tuple[Event, ...] = field(default=(), compare=False)
-
-
-_COMPARATORS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
 
 
 def window_aggregate(points: list[tuple[int, float]], fn: str) -> float:
@@ -123,7 +115,7 @@ def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]
     """Truth value plus contributing events; EmptyWindowError escapes to the
     rule level and makes the whole rule false for this window."""
     if isinstance(node, Threshold):
-        compare = _COMPARATORS[node.cmp]
+        compare = COMPARATORS[node.cmp]
         hits = [e for e in by_kind.get(node.kind, ())
                 if e.value is not None and compare(e.value, node.constant)]
         return bool(hits), hits
@@ -135,7 +127,7 @@ def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]
             result = window_aggregate(
                 [(e.timestamp, e.value) for e in events if e.value is not None], node.fn
             )
-        return _COMPARATORS[node.cmp](result, node.constant), list(events)
+        return COMPARATORS[node.cmp](result, node.constant), list(events)
     if isinstance(node, Trend):
         points = [(e.timestamp, e.value) for e in by_kind.get(node.kind, ())
                   if e.value is not None]
@@ -143,7 +135,7 @@ def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]
             value = slope(points)
         except DegenerateSlopeError:
             return False, []
-        return _COMPARATORS[node.cmp](value, node.constant), list(by_kind.get(node.kind, ()))
+        return COMPARATORS[node.cmp](value, node.constant), list(by_kind.get(node.kind, ()))
     if isinstance(node, Seq):
         pairs = _sequence_pairs(by_kind.get(node.first, []), by_kind.get(node.second, []))
         return bool(pairs), [e for pair in pairs for e in pair]

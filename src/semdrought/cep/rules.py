@@ -12,6 +12,7 @@ rule's event kinds compare directly against canonical observation kinds.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -24,8 +25,11 @@ KEYWORDS = frozenset({
     "SLOPE", "SEQ", "ABSENT",
 })
 AGGREGATE_FNS = ("AVG", "MIN", "MAX", "SUM", "COUNT")
-COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
-_UNIT_SECONDS = {"d": 86400, "h": 3600, "m": 60}
+COMPARATORS = {
+    "<=": operator.le, ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, ">": operator.gt,
+}
+_UNIT_SECONDS = {"d": 86400, "h": 3600, "m": 60}    # largest first, as printed
 DEFAULT_SEVERITY = 0.5
 
 
@@ -101,24 +105,14 @@ PatternExpr = Threshold | Aggregate | Trend | Seq | Absent | Not | And | Or
 
 @dataclass(frozen=True)
 class WindowSpec:
-    mode: str            # sliding | tumbling
-    length: int          # seconds
-    step: int | None = None
+    """Windows of ``length`` seconds, one every ``stride`` seconds; a
+    tumbling window is one whose stride is its length."""
+    length: int
+    stride: int
 
     def __post_init__(self):
-        if self.mode not in ("sliding", "tumbling"):
-            raise ValueError(f"unknown window mode {self.mode!r}")
-        if self.length <= 0:
-            raise ValueError("window length must be positive")
-        if self.mode == "sliding":
-            if self.step is None or self.step <= 0 or self.step > self.length:
-                raise ValueError("sliding window needs 0 < step <= length")
-        elif self.step is not None:
-            raise ValueError("tumbling window carries no step")
-
-    @property
-    def stride(self) -> int:
-        return self.step if self.mode == "sliding" else self.length
+        if not 0 < self.stride <= self.length:
+            raise ValueError("window step must be positive and at most its length")
 
 
 @dataclass(frozen=True)
@@ -147,73 +141,44 @@ class _Token:
     column: int
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z_][A-Za-z0-9_]*)?")
-_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_DURATION = re.compile(r"\d+(?:\.\d+)?[dhm]\b")
-_IRIREF = re.compile(r"<[^<>\s]+>")
+def _operators(size: int) -> str:
+    return "|".join(re.escape(op) for op in COMPARATORS if len(op) == size)
+
+
+# (token kind, pattern, value of the matched text), tried in this order at
+# each position; a kind of None is skipped (blanks and comments)
+_TOKEN_RULES = (
+    (None, r"[ \t]+|#.*", None),
+    ("ARROW", "->", None),
+    ("CMP", _operators(2), None),
+    ("IRI", r"<[^<>\s]+>", lambda text: text[1:-1]),
+    ("CMP", _operators(1), None),
+    ("LPAREN", r"\(", None),
+    ("RPAREN", r"\)", None),
+    ("DURATION", r"\d+(?:\.\d+)?[" + "".join(_UNIT_SECONDS) + r"]\b",
+     lambda text: float(text[:-1]) * _UNIT_SECONDS[text[-1]]),
+    ("NUMBER", r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", float),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z_][A-Za-z0-9_]*)?", str),
+)
+_SCANNER = re.compile("|".join(f"({pattern})" for _, pattern, _ in _TOKEN_RULES))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         pos = 0
-        length = len(line)
-        while pos < length:
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            column = pos + 1
-            if line.startswith("->", pos):
-                tokens.append(_Token("ARROW", "->", None, line_number, column))
-                pos += 2
-                continue
-            two = line[pos:pos + 2]
-            if two in ("<=", ">=", "==", "!="):
-                tokens.append(_Token("CMP", two, None, line_number, column))
-                pos += 2
-                continue
-            match = _IRIREF.match(line, pos)
-            if match:
-                tokens.append(_Token("IRI", match.group(), match.group()[1:-1],
-                                     line_number, column))
-                pos = match.end()
-                continue
-            if ch in "<>":
-                tokens.append(_Token("CMP", ch, None, line_number, column))
-                pos += 1
-                continue
-            if ch == "(":
-                tokens.append(_Token("LPAREN", ch, None, line_number, column))
-                pos += 1
-                continue
-            if ch == ")":
-                tokens.append(_Token("RPAREN", ch, None, line_number, column))
-                pos += 1
-                continue
-            match = _DURATION.match(line, pos)
-            if match:
-                text_value = match.group()
-                seconds = float(text_value[:-1]) * _UNIT_SECONDS[text_value[-1]]
-                tokens.append(_Token("DURATION", text_value, seconds, line_number, column))
-                pos = match.end()
-                continue
-            match = _NUMBER.match(line, pos)
-            if match:
-                tokens.append(_Token("NUMBER", match.group(), float(match.group()),
-                                     line_number, column))
-                pos = match.end()
-                continue
-            match = _IDENT.match(line, pos)
-            if match:
-                word = match.group()
-                kind = "KW" if word in KEYWORDS else "IDENT"
-                tokens.append(_Token(kind, word, word, line_number, column))
-                pos = match.end()
-                continue
-            raise RuleSyntaxError(line_number, column, "a token", repr(ch))
+        while pos < len(line):
+            match = _SCANNER.match(line, pos)
+            if match is None:
+                raise RuleSyntaxError(line_number, pos + 1, "a token", repr(line[pos]))
+            kind, _, value = _TOKEN_RULES[match.lastindex - 1]
+            word = match.group()
+            if kind is not None:
+                if kind == "IDENT" and word in KEYWORDS:
+                    kind = "KW"
+                tokens.append(_Token(kind, word, value(word) if value else None,
+                                     line_number, pos + 1))
+            pos = match.end()
     last_line = text.count("\n") + 1
     tokens.append(_Token("EOF", "", None, last_line, 1))
     return tokens
@@ -272,25 +237,21 @@ class _Parser:
         self._expect_kw("WHEN")
         pattern = self._or()
         self._expect_kw("WITHIN")
-        length = self._duration()
-        step = None
+        length = stride = self._duration()
         if self._at_kw("STEP"):
             self._advance()
-            step = self._duration()
+            stride = self._duration()
         self._expect_kw("EMIT")
         emit = self._term("emitted event kind")
         severity = DEFAULT_SEVERITY
         if self._at_kw("SEVERITY"):
             self._advance()
             severity = self._expect("NUMBER", "severity number").value
-        if step is not None and step > length:
-            raise RuleSemanticError(f"rule {name}: step exceeds window length")
-        if not 0.0 <= severity <= 1.0:
-            raise RuleSemanticError(f"rule {name}: severity must lie in [0, 1]")
-        window = (WindowSpec("sliding", length, step) if step is not None
-                  else WindowSpec("tumbling", length))
-        return CepRule(name=name, window=window, pattern=pattern,
-                       emit=emit, severity_weight=severity)
+        try:
+            return CepRule(name=name, window=WindowSpec(length, stride), pattern=pattern,
+                           emit=emit, severity_weight=severity)
+        except ValueError as exc:
+            raise RuleSemanticError(f"rule {name}: {exc}")
 
     def _duration(self) -> int:
         token = self._expect("DURATION", "duration like 30d, 12h or 5m")
@@ -335,20 +296,10 @@ class _Parser:
             return inner
         if self._at_kw(*AGGREGATE_FNS):
             fn = self._advance().text
-            self._expect("LPAREN", "opening parenthesis")
-            kind = self._term("event kind")
-            self._expect("RPAREN", "closing parenthesis")
-            cmp = self._expect("CMP", "comparison operator").text
-            constant = self._constant()
-            return Aggregate(fn, kind, cmp, constant)
+            return Aggregate(fn, self._kind_in_parens(), *self._comparison())
         if self._at_kw("SLOPE"):
             self._advance()
-            self._expect("LPAREN", "opening parenthesis")
-            kind = self._term("event kind")
-            self._expect("RPAREN", "closing parenthesis")
-            cmp = self._expect("CMP", "comparison operator").text
-            constant = self._constant()
-            return Trend(kind, cmp, constant)
+            return Trend(self._kind_in_parens(), *self._comparison())
         if self._at_kw("SEQ"):
             self._advance()
             self._expect("LPAREN", "opening parenthesis")
@@ -359,16 +310,20 @@ class _Parser:
             return Seq(first, second)
         if self._at_kw("ABSENT"):
             self._advance()
-            self._expect("LPAREN", "opening parenthesis")
-            kind = self._term("event kind")
-            self._expect("RPAREN", "closing parenthesis")
-            return Absent(kind)
+            return Absent(self._kind_in_parens())
         if token.kind in ("IDENT", "IRI"):
-            kind = self._term("event kind")
-            cmp = self._expect("CMP", "comparison operator").text
-            constant = self._constant()
-            return Threshold(kind, cmp, constant)
+            return Threshold(self._term("event kind"), *self._comparison())
         self._fail("a pattern")
+
+    def _kind_in_parens(self) -> str:
+        self._expect("LPAREN", "opening parenthesis")
+        kind = self._term("event kind")
+        self._expect("RPAREN", "closing parenthesis")
+        return kind
+
+    def _comparison(self) -> tuple[str, float]:
+        cmp = self._expect("CMP", "comparison operator").text
+        return cmp, self._constant()
 
     def _term(self, expectation: str) -> str:
         token = self.current
@@ -417,7 +372,7 @@ def parse_rule(text: str, ns: Namespaces | None = None) -> CepRule:
 
 def duration_text(seconds: int) -> str:
     """A window length in the rule DSL's largest whole unit."""
-    for unit, size in (("d", 86400), ("h", 3600), ("m", 60)):
+    for unit, size in _UNIT_SECONDS.items():
         if seconds % size == 0:
             return f"{seconds // size}{unit}"
     return canonical_double(seconds / 60.0) + "m"
@@ -459,8 +414,8 @@ def _pattern_text(expr: PatternExpr) -> str:
 def rule_to_text(rule: CepRule) -> str:
     parts = [f"RULE {rule.name} WHEN {_pattern_text(rule.pattern)}",
              f"WITHIN {duration_text(rule.window.length)}"]
-    if rule.window.mode == "sliding":
-        parts.append(f"STEP {duration_text(rule.window.step)}")
+    if rule.window.stride != rule.window.length:
+        parts.append(f"STEP {duration_text(rule.window.stride)}")
     parts.append(f"EMIT {_term_text(rule.emit)}")
     parts.append(f"SEVERITY {canonical_double(rule.severity_weight)}")
     return " ".join(parts)

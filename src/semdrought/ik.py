@@ -116,8 +116,9 @@ class IkRegistry:
     def observations(self) -> tuple[IkObservation, ...]:
         return tuple(self._log)
 
-    def record_observation(self, obs: IkObservation) -> Event:
-        """Log the observation and return its stream event for the engine."""
+    def event_for(self, obs: IkObservation) -> Event:
+        """The observation's stream event for the engine; raises for an
+        observation the log would not accept, and logs nothing."""
         indicator = self._indicators.get(obs.indicator_id)
         if indicator is None:
             raise UnknownIndicatorError(f"unknown indicator: {obs.indicator_id}")
@@ -130,12 +131,16 @@ class IkRegistry:
             )
         kind = (DRIER_EVENT_KIND if indicator.valence is Valence.DRIER
                 else WETTER_EVENT_KIND)
-        event = Event(
+        return Event(
             kind=kind,
             timestamp=obs.timestamp,
             value=indicator.weight * obs.confidence,
             attributes=(("indicator", indicator.id), ("region", obs.region)),
         )
+
+    def record_observation(self, obs: IkObservation) -> Event:
+        """Log the observation and return its stream event for the engine."""
+        event = self.event_for(obs)
         self._log.append(obs)
         return event
 

@@ -254,10 +254,6 @@ class Vocabulary:
     def properties(self) -> tuple[Iri, ...]:
         return tuple(self.property_units)
 
-    @property
-    def units(self) -> tuple[Iri, ...]:
-        return tuple(self.property_units.values())
-
     def canonical_unit(self, prop: Iri) -> Iri | None:
         return self.property_units.get(prop)
 

@@ -92,17 +92,17 @@ class ApiHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         url = urlparse(self.path)
         pipeline = self.server.pipeline
-        if url.path not in ("/observations", "/ik"):
-            self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
-            return
         try:
-            body = self._read_body()
+            body = self._read_body()    # on every route, so the next request starts after it
             if url.path == "/observations":
                 obs, firings = pipeline.ingest_payload("json", body)
                 reply = {"accepted": True, "id": obs.id.value, "firings": len(firings)}
-            else:
+            elif url.path == "/ik":
                 firings = pipeline.ingest_ik_json(body)
                 reply = {"accepted": True, "firings": len(firings)}
+            else:
+                self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
+                return
         except OutOfOrderError as exc:
             self._error(409, exc)
         except SemDroughtError as exc:

@@ -129,7 +129,6 @@ class Pipeline:
         self._kept_in_facts: set[str] = set()
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
-        self._event_count = 0
         self.lock = threading.RLock()
 
     def _load_rules(self) -> list[CepRule]:
@@ -154,7 +153,8 @@ class Pipeline:
 
     @property
     def event_count(self) -> int:
-        return self._event_count
+        """Readings plus indigenous-knowledge reports in the logs."""
+        return sum(map(len, self._observations.values())) + len(self.ik.observations)
 
     @property
     def firings(self) -> tuple[tuple[str, Firing], ...]:
@@ -186,13 +186,12 @@ class Pipeline:
             self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
             self._view = None
-            self._event_count += 1
             self._log_firings(region, firings)
         return obs, firings
 
     def ingest_ik_json(self, document: str) -> list[Firing]:
-        """Parse an indigenous-knowledge report, log it and stream it into
-        the region engine."""
+        """Parse an indigenous-knowledge report, stream it into the region
+        engine and log it once the engine accepts it."""
         try:
             payload = json.loads(document)
         except json.JSONDecodeError as exc:
@@ -201,9 +200,9 @@ class Pipeline:
         with self.lock:
             if obs.region not in self.config.regions:
                 raise UnknownRegionError(f"unknown region: {obs.region}")
-            event = self.ik.record_observation(obs)
-            firings = self._engines[obs.region].push_event(event)
-            self._event_count += 1
+            event = self.ik.event_for(obs)
+            firings = self._engines[obs.region].push_event(event)  # may reject; nothing logged
+            self.ik.record_observation(obs)
             self._log_firings(obs.region, firings)
         return firings
 
@@ -385,14 +384,25 @@ class Pipeline:
         store keeps every other triple. An observation from a sensor in no
         region, or one whose lines are not exactly what ``serialize`` renders
         for a saturated observation, keeps its triples in the store verbatim.
-        Engines stay empty (persisted firings stand in for them).
+        The persisted logs replace the current ones, and nothing changes if
+        any file is damaged. Engines stay empty (persisted firings stand in
+        for them).
         """
         directory = Path(directory)
         store_path = directory / STORE_FILE
         if not store_path.is_file():
             raise SemDroughtError(f"no persisted store at {store_path}")
-        facts, observations, kept = self._split_store(
-            store_path.read_text(encoding="utf-8"))
+        try:
+            text = store_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SemDroughtError(f"{store_path} is not UTF-8: {exc}")
+        facts, observations, kept = self._split_store(text)
+        ik = IkRegistry()
+        for indicator in self.ik.indicators:
+            ik.register_indicator(indicator)
+        _read_jsonl(directory / IK_LOG_FILE,
+                    lambda payload: ik.record_observation(_ik_observation(payload)))
+        firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)
         with self.lock:
             self._facts = facts
             self._observation_ids = {obs.id.value for obs in observations}
@@ -401,14 +411,11 @@ class Pipeline:
                 self._observations[region] = []
             for obs in observations:
                 self._observations[self._region_of_sensor[obs.sensor_id.value]].append(obs)
-                self._event_count += 1
             for region, log in self._observations.items():
                 self._saturated[region] = len(log)
             self._view = None
-            self._event_count += len(_read_jsonl(
-                directory / IK_LOG_FILE,
-                lambda payload: self.ik.record_observation(_ik_observation(payload))))
-            self._firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)
+            self.ik = ik
+            self._firings = firings
 
     def _split_store(self, text: str):
         """Parse a persisted store into (store, observations in timestamp order,

@@ -354,8 +354,7 @@ def random_rules(rng: random.Random, count: int) -> list[CepRule]:
     for i in range(count):
         stride = rng.choice(strides)
         length = stride * rng.randint(1, 4)
-        window = (WindowSpec("sliding", length, stride) if length != stride
-                  else WindowSpec("tumbling", length))
+        window = WindowSpec(length, stride)
 
         def leaf():
             kind = rng.choice(kinds + [f"E{j}" for j in range(i)])

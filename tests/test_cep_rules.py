@@ -1,4 +1,6 @@
-"""Rule DSL parser and printer tests."""
+"""Rule DSL tokenizer, parser and printer tests."""
+
+import re
 
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from semdrought.cep import (
     parse_ruleset,
     rule_to_text,
 )
+from semdrought.cep.rules import _tokenize
 from semdrought.model import Namespaces
 
 NS = Namespaces()
@@ -38,7 +41,7 @@ class TestParser:
     def test_dry_spell_structure(self):
         rule = parse_rule(DRY_SPELL, NS)
         assert rule.name == "dry_spell"
-        assert rule.window == WindowSpec("sliding", 30 * 86400, 86400)
+        assert rule.window == WindowSpec(30 * 86400, 86400)
         assert rule.pattern == And((
             Aggregate("AVG", PRECIP, "<", 0.5),
             Trend(SOIL, "<", 0.0),
@@ -52,12 +55,16 @@ class TestParser:
             "EMIT IkDrierSignal SEVERITY 0.4", NS,
         )
         assert rule.pattern == Aggregate("COUNT", "IkDrierObservation", ">=", 3.0)
-        assert rule.window == WindowSpec("tumbling", 90 * 86400)
+        assert rule.window == WindowSpec(90 * 86400, 90 * 86400)
 
     def test_missing_step_means_tumbling(self):
         rule = parse_rule("RULE r WHEN x > 1 WITHIN 7d EMIT Y", NS)
-        assert rule.window.mode == "tumbling"
-        assert rule.window.step is None
+        assert rule.window.stride == rule.window.length
+
+    def test_step_equal_to_length_is_tumbling(self):
+        stepped = parse_rule("RULE r WHEN x > 1 WITHIN 7d STEP 7d EMIT Y", NS)
+        assert stepped == parse_rule("RULE r WHEN x > 1 WITHIN 7d EMIT Y", NS)
+        assert "STEP" not in rule_to_text(stepped)
 
     def test_not_over_seq_rejected(self):
         with pytest.raises(RuleSemanticError):
@@ -124,7 +131,7 @@ class TestParser:
     def test_durations_in_hours_and_minutes(self):
         rule = parse_rule("RULE x WHEN a > 1 WITHIN 12h STEP 30m EMIT Y", NS)
         assert rule.window.length == 12 * 3600
-        assert rule.window.step == 30 * 60
+        assert rule.window.stride == 30 * 60
 
     def test_negative_constants(self):
         rule = parse_rule("RULE x WHEN SLOPE(a) < -0.25 WITHIN 1d EMIT Y", NS)
@@ -166,11 +173,11 @@ patterns = st.one_of(negated, _compound(negated), _compound(_compound(negated)))
 
 windows = st.one_of(
     st.integers(min_value=1, max_value=60).map(
-        lambda d: WindowSpec("tumbling", d * 86400)
+        lambda d: WindowSpec(d * 86400, d * 86400)
     ),
     st.tuples(
         st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)
-    ).map(lambda lw: WindowSpec("sliding", max(lw) * 3600, min(lw) * 3600)),
+    ).map(lambda lw: WindowSpec(max(lw) * 3600, min(lw) * 3600)),
 )
 
 rule_objects = st.builds(
@@ -198,3 +205,43 @@ class TestPrinter:
         rule = parse_rule(DRY_SPELL, NS)
         text = rule_to_text(rule)
         assert f"<{PRECIP}>" in text
+
+
+# strings over the DSL's alphabet: whole tokens, the characters they are made
+# of, blanks, comments, newlines and characters no token starts with
+DSL_PIECES = [
+    "RULE", "WHEN", "WITHIN", "STEP", "EMIT", "AVG", "SEQ", "ex:p", "a_1",
+    "<http://e/x>", "30d", "12h", "1.5", "-2", "1e3", "->", "<=", ">=", "==", "!=",
+    "#", "\n", " ", "\t", *"aEdhm_:09.-+eE<>=!()/@",
+]
+dsl_strings = st.lists(st.sampled_from(DSL_PIECES), max_size=30).map("".join)
+
+# a token can start at a character only in one of these ways
+_TOKEN_START = re.compile(r"->|[<>()]|[=!]=|-?\d|[A-Za-z_]")
+
+
+class TestTokenizer:
+    @given(dsl_strings)
+    def test_tokens_sit_where_they_say(self, text):
+        lines = text.split("\n")
+        try:
+            tokens = _tokenize(text)
+        except RuleSyntaxError as err:
+            rest = lines[err.line - 1][err.column - 1:]
+            assert err.found == repr(rest[0])
+            assert rest[0] not in " \t#"
+            assert not _TOKEN_START.match(rest)
+            return
+        *body, eof = tokens
+        assert (eof.kind, eof.line, eof.column) == ("EOF", len(lines), 1)
+        assert [(t.line, t.column) for t in body] == sorted((t.line, t.column) for t in body)
+        for number, line in enumerate(lines, start=1):
+            pos = 0
+            for token in (t for t in body if t.line == number):
+                start = token.column - 1
+                assert token.text and start >= pos
+                assert line[start:start + len(token.text)] == token.text
+                assert line[pos:start].strip(" \t") == ""
+                pos = start + len(token.text)
+            rest = line[pos:].lstrip(" \t")
+            assert rest == "" or rest.startswith("#")

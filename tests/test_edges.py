@@ -1,7 +1,8 @@
-"""Malformed input at the service's edges: HTTP request bodies, indigenous-
-knowledge reports dated before the epoch and damaged persisted state. Each
-gets a typed error and a defined HTTP status or CLI exit code, never a
-dropped connection or a traceback."""
+"""Malformed input at the service's edges: HTTP request bodies and routes,
+indigenous-knowledge reports dated before the epoch or out of order, and
+damaged or repeatedly restored persisted state. Each gets a typed error and
+a defined HTTP status or CLI exit code, never a dropped connection, a
+traceback or a changed state."""
 
 import http.client
 import json
@@ -75,6 +76,40 @@ class TestHttpBodies:
         assert pipeline.event_count == 0
 
 
+class TestUnknownRoute:
+    def test_post_404_keeps_connection_in_step(self, server):
+        port, _ = server
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            connection.request("POST", "/nope", body=json.dumps({"region": "r1"}),
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["error"] == "NotFound"
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+
+
+class TestOutOfOrderIkReport:
+    def test_rejected_report_is_not_logged(self, server):
+        port, pipeline = server
+        report = {"indicator_id": "sifennefene_worms_scarce", "region": "r1",
+                  "confidence": 0.9}
+        status, _ = raw_post(port, "/ik", json.dumps(
+            {**report, "timestamp": "2020-06-01T00:00:00Z"}).encode())
+        assert status == 200
+        status, reply = raw_post(port, "/ik", json.dumps(
+            {**report, "timestamp": "2020-05-01T00:00:00Z"}).encode())
+        assert status == 409
+        assert reply["error"] == "OutOfOrder"
+        assert len(pipeline.ik.observations) == 1
+        assert pipeline.event_count == 1
+
+
 class TestPreEpochIkReport:
     def test_replay_rejects_it_unlogged(self, scenario_dir, tmp_path):
         pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
@@ -104,22 +139,36 @@ def persisted(tmp_path_factory):
 
 class TestDamagedState:
     @pytest.mark.parametrize("file_name, damage, reported", [
-        ("ik_log.jsonl", lambda text: text + "{not json\n", "ik_log.jsonl"),
-        ("firings.jsonl", lambda text: text + '{"region": "r1"}\n', "firings.jsonl"),
-        ("store.nt", lambda text: re.sub(r'(#lat> )"[^"]*"', r'\1"95"', text, count=1),
+        ("ik_log.jsonl", lambda data: data + b"{not json\n", "ik_log.jsonl"),
+        ("firings.jsonl", lambda data: data + b'{"region": "r1"}\n', "firings.jsonl"),
+        ("store.nt", lambda data: re.sub(rb'(#lat> )"[^"]*"', rb'\1"95"', data, count=1),
          "latitude out of range"),
+        ("store.nt", lambda data: data + b"\xff", "store.nt is not UTF-8"),
     ])
     def test_commands_exit_2(self, persisted, tmp_path, capsys, file_name, damage, reported):
         target = tmp_path / "copy"
         shutil.copytree(persisted, target)
         path = target / "state" / file_name
-        text = path.read_text(encoding="utf-8")
-        damaged = damage(text)
-        assert damaged != text
-        path.write_text(damaged, encoding="utf-8")
+        data = path.read_bytes()
+        damaged = damage(data)
+        assert damaged != data
+        path.write_bytes(damaged)
         capsys.readouterr()
         config = str(scenario.config_path(target))
         assert cli_main(["export", "--config", config, "--out", str(tmp_path / "out.nt")]) == 2
         assert cli_main(["forecast", "--config", config, "--region", "r1",
                          "--period", "2022-01"]) == 2
         assert capsys.readouterr().err.count(reported) == 2
+
+
+class TestRepeatedRestore:
+    def test_second_restore_changes_nothing(self, persisted):
+        config = load_config(scenario.config_path(persisted))
+        once, twice = Pipeline(config), Pipeline(config)
+        once.restore(persisted / "state")
+        twice.restore(persisted / "state")
+        twice.restore(persisted / "state")
+        assert twice.event_count == once.event_count
+        assert twice.ik.observations == once.ik.observations != ()
+        assert (twice.bulletin("r1", "2022-01").to_json_dict()
+                == once.bulletin("r1", "2022-01").to_json_dict())
