@@ -176,9 +176,11 @@ def _dedupe(events: list[Event]) -> tuple[Event, ...]:
 
 
 class Engine:
-    """Single-stream evaluator; one instance per logically ordered stream."""
+    """Single-stream evaluator; one instance per logically ordered stream.
+    ``last_timestamp`` resumes a stream whose events before it were consumed
+    elsewhere: earlier events are rejected, the next one anchors the grid."""
 
-    def __init__(self, rules: list[CepRule]):
+    def __init__(self, rules: list[CepRule], last_timestamp: int | None = None):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError("rule names must be unique within an engine")
@@ -186,7 +188,7 @@ class Engine:
         self._max_length = max((r.window.length for r in rules), default=0)
         self._buffer: deque[Event] = deque()
         self._cursors: dict[str, int] = {}
-        self._last_ts: int | None = None
+        self._last_ts = last_timestamp
 
     def push_event(self, event: Event) -> list[Firing]:
         """Feed one event; returns firings for boundaries it strictly crossed."""
@@ -194,7 +196,7 @@ class Engine:
             raise OutOfOrderError(
                 f"timestamp {event.timestamp} regresses below {self._last_ts}"
             )
-        if self._last_ts is None:
+        if not self._cursors:
             for rule in self.rules:
                 stride = rule.window.stride
                 self._cursors[rule.name] = -(-event.timestamp // stride) * stride
@@ -206,7 +208,7 @@ class Engine:
 
     def flush(self) -> list[Firing]:
         """Drain every boundary whose window starts before the last event."""
-        if self._last_ts is None:
+        if not self._cursors:
             return []
         last = self._last_ts
         return self._settle(lambda rule, cursor: cursor - rule.window.length < last)

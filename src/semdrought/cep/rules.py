@@ -1,6 +1,7 @@
 """Detection rule DSL: tokenizer, recursive-descent parser and printer.
 
-Concrete syntax (keywords are case-sensitive, ``#`` starts a comment):
+Concrete syntax (keywords are case-sensitive, ``#`` starts a comment that
+runs to the end of the line; only ``\\n``, ``\\r\\n`` and ``\\r`` end a line):
 
     RULE dry_spell
     WHEN AVG(ex:precipitation) < 0.5 AND SLOPE(ex:soilMoisture) < 0
@@ -165,7 +166,8 @@ _SCANNER = re.compile("|".join(f"({pattern})" for _, pattern, _ in _TOKEN_RULES)
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    lines = re.split(r"\r\n|\r|\n", text)
+    for line_number, line in enumerate(lines, start=1):
         pos = 0
         while pos < len(line):
             match = _SCANNER.match(line, pos)
@@ -179,8 +181,7 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token(kind, word, value(word) if value else None,
                                      line_number, pos + 1))
             pos = match.end()
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("EOF", "", None, last_line, 1))
+    tokens.append(_Token("EOF", "", None, len(lines), 1))
     return tokens
 
 
@@ -342,15 +343,11 @@ class _Parser:
         return token.value
 
 
-def _reserved_kinds(ns: Namespaces) -> frozenset[str]:
-    return frozenset(p.value for p in Vocabulary(ns).properties)
-
-
 def parse_ruleset(text: str, ns: Namespaces | None = None) -> list[CepRule]:
     """Parse one or more rules; rejects duplicate names and reserved emits."""
     ns = ns or Namespaces()
     rules = _Parser(_tokenize(text), ns).parse_ruleset()
-    reserved = _reserved_kinds(ns)
+    reserved = {p.value for p in Vocabulary(ns).property_units}
     for rule in rules:
         if rule.emit in reserved:
             raise RuleSemanticError(

@@ -74,22 +74,12 @@ class ClimatologyEntry:
     usable: bool
 
 
-class BaselineClimatology:
-    """Per (canonical property, calendar month) sample statistics."""
-
-    def __init__(self, entries: dict[tuple[str, int], ClimatologyEntry]):
-        self._entries = entries
-
-    def entry(self, prop: Iri, month: int) -> ClimatologyEntry | None:
-        return self._entries.get((prop.value, month))
-
-
 def build_climatology(
     history: list[CanonicalObservation],
     min_count: int = MIN_BASELINE_COUNT,
-) -> BaselineClimatology:
-    """Group observation values by (property, calendar month); sample mean
-    and n-1 standard deviation; short or flat entries are marked unusable."""
+) -> dict[tuple[str, int], ClimatologyEntry]:
+    """Entries keyed by (property IRI text, calendar month): sample mean and
+    n-1 standard deviation; short or flat entries are marked unusable."""
     groups: dict[tuple[str, int], list[float]] = {}
     for obs in history:
         groups.setdefault((obs.property.value, month_of(obs.timestamp)), []).append(obs.value)
@@ -101,7 +91,7 @@ def build_climatology(
             mean=statistics.fmean(samples), std=std, count=len(samples),
             samples=samples, usable=len(samples) >= min_count and std > 0.0,
         )
-    return BaselineClimatology(entries)
+    return entries
 
 
 def standardized_anomaly(x: float, mean: float, std: float) -> float:
@@ -221,7 +211,7 @@ def make_bulletin(
     region: str,
     period: str,
     observations: list[CanonicalObservation],
-    climatology: BaselineClimatology,
+    climatology: dict[tuple[str, int], ClimatologyEntry],
     ik_signal_fn,
     firings: list[Firing],
     ns: Namespaces | None = None,
@@ -260,7 +250,7 @@ def make_bulletin(
     temp_mean = statistics.fmean(values_of(temp))
 
     def usable_entry(prop: Iri):
-        entry = climatology.entry(prop, month)
+        entry = climatology.get((prop.value, month))
         if entry is None or not entry.usable:
             raise InsufficientBaselineError(
                 f"baseline unusable for {prop.local_name()} in month {month}"
@@ -269,7 +259,7 @@ def make_bulletin(
 
     precip_entry = usable_entry(precip)
     temp_entry = usable_entry(temp)
-    soil_entry = climatology.entry(soil, month)
+    soil_entry = climatology.get((soil.value, month))
     if soil_entry is None or not soil_entry.samples:
         raise InsufficientBaselineError(f"no soil-moisture baseline for month {month}")
 

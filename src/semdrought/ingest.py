@@ -335,7 +335,7 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
         raise UnknownUnitError(
             f"no alignment entry for unit {raw.unit_raw!r}", term=raw.unit_raw
         )
-    canonical_unit = table.vocabulary.canonical_unit(prop)
+    canonical_unit = table.vocabulary.property_units[prop]
     if unit_entry.iri != canonical_unit:
         raise UnitMismatchError(
             f"unit {raw.unit_raw!r} resolves to {unit_entry.iri.value}, "

@@ -91,9 +91,6 @@ class Literal:
             except ValueError:
                 raise ValueError(f"not an integer literal: {self.lexical!r}")
 
-    def as_float(self) -> float:
-        return float(self.lexical)
-
 
 @dataclass(frozen=True)
 class BlankNode:
@@ -219,49 +216,30 @@ _SHIPPED_CLASSES = (
     ("DryCondition", OntologyCategory.STATE),
 )
 
+# property -> property it is influenced by
+_INFLUENCES = (
+    ("soilMoisture", "airTemperature"),
+)
+
 
 class Vocabulary:
     """Canonical properties, units, class categories and influence facts."""
 
     def __init__(self, namespaces: Namespaces | None = None):
         self.ns = namespaces or Namespaces()
-        self.property_units: dict[Iri, Iri] = {}
-        self._categories: dict[Iri, OntologyCategory] = {}
-        self.influences: list[tuple[Iri, Iri]] = []
-        for prop, unit in _CANONICAL_PAIRS:
-            self.register_property(self.ns.iri("ex:" + prop), self.ns.iri("ex:" + unit))
-        for cls, cat in _SHIPPED_CLASSES:
-            self.register_class(self.ns.iri("ex:" + cls), cat)
-        self.add_influence(self.ns.iri("ex:soilMoisture"), self.ns.iri("ex:airTemperature"))
 
-    def register_property(self, prop: Iri, unit: Iri) -> None:
-        if prop in self.property_units:
-            raise ValueError(f"property already registered: {prop.value}")
-        self.property_units[prop] = unit
+        def ex(local: str) -> Iri:
+            return self.ns.iri("ex:" + local)
 
-    def register_class(self, cls: Iri, category: OntologyCategory) -> None:
-        if cls in self._categories:
-            raise ValueError(f"class already annotated: {cls.value}")
-        self._categories[cls] = category
-
-    def add_influence(self, prop: Iri, influenced_by: Iri) -> None:
-        self.influences.append((prop, influenced_by))
-
-    def category_of(self, cls: Iri) -> OntologyCategory | None:
-        return self._categories.get(cls)
-
-    @property
-    def properties(self) -> tuple[Iri, ...]:
-        return tuple(self.property_units)
-
-    def canonical_unit(self, prop: Iri) -> Iri | None:
-        return self.property_units.get(prop)
+        self.property_units = {ex(prop): ex(unit) for prop, unit in _CANONICAL_PAIRS}
+        self.categories = {ex(cls): cat for cls, cat in _SHIPPED_CLASSES}
+        self.influences = [(ex(prop), ex(by)) for prop, by in _INFLUENCES]
 
     def as_triples(self) -> list[Triple]:
         """Static ontology facts seeded into the triple store."""
         ns = self.ns
         out: list[Triple] = []
-        for cls, cat in self._categories.items():
+        for cls, cat in self.categories.items():
             cat_iri = ns.iri("ex:" + cat.value)
             out.append(Triple(cls, ns.iri("ex:ontologyCategory"), cat_iri))
             out.append(Triple(cls, ns.iri("ex:subClassOf"), cat_iri))
@@ -303,18 +281,37 @@ def mint_observation_iri(ns: Namespaces, sensor_id: Iri, timestamp: int) -> Iri:
     return ns.join(f"obs/{sensor_id.local_name()}/{int(timestamp)}")
 
 
+# An observation's RDF shape after its rdf:type ex:ObservationEvent triple:
+# (predicate local name under ex:, CanonicalObservation field, datatype of the
+# literal object or None for an IRI object), in the order of its triples
+OBSERVATION_SHAPE = (
+    ("bySensor", "sensor_id", None),
+    ("observedProperty", "property", None),
+    ("hasValue", "value", Datatype.DOUBLE),
+    ("hasUnit", "unit", None),
+    ("atTime", "timestamp", Datatype.DATETIME),
+    ("lat", "lat", Datatype.DOUBLE),
+    ("lon", "lon", Datatype.DOUBLE),
+)
+
+
+def lexical_form(value: float, datatype: Datatype) -> str:
+    """Canonical lexical form of a double, or of a UTC instant given in
+    epoch seconds."""
+    if datatype is Datatype.DATETIME:
+        return format_utc_instant(value)
+    return canonical_double(value)
+
+
 def observation_to_triples(ns: Namespaces, obs: CanonicalObservation) -> list[Triple]:
     """Exactly eight triples, in a fixed order, with distinct predicates."""
-    return [
-        Triple(obs.id, Iri(RDF_NS + "type"), ns.iri("ex:ObservationEvent")),
-        Triple(obs.id, ns.iri("ex:bySensor"), obs.sensor_id),
-        Triple(obs.id, ns.iri("ex:observedProperty"), obs.property),
-        Triple(obs.id, ns.iri("ex:hasValue"), Literal(canonical_double(obs.value), Datatype.DOUBLE)),
-        Triple(obs.id, ns.iri("ex:hasUnit"), obs.unit),
-        Triple(obs.id, ns.iri("ex:atTime"), Literal(format_utc_instant(obs.timestamp), Datatype.DATETIME)),
-        Triple(obs.id, ns.iri("ex:lat"), Literal(canonical_double(obs.lat), Datatype.DOUBLE)),
-        Triple(obs.id, ns.iri("ex:lon"), Literal(canonical_double(obs.lon), Datatype.DOUBLE)),
-    ]
+    triples = [Triple(obs.id, Iri(RDF_NS + "type"), ns.iri("ex:ObservationEvent"))]
+    for local, field, datatype in OBSERVATION_SHAPE:
+        value = getattr(obs, field)
+        if datatype is not None:
+            value = Literal(lexical_form(value, datatype), datatype)
+        triples.append(Triple(obs.id, ns.iri("ex:" + local), value))
+    return triples
 
 
 def triples_to_observation(ns: Namespaces, triples: set[Triple] | list[Triple]) -> CanonicalObservation:
@@ -335,33 +332,22 @@ def triples_to_observation(ns: Namespaces, triples: set[Triple] | list[Triple]) 
         if t.subject == subject and isinstance(t.predicate, Iri):
             by_pred[t.predicate.value] = t.object
 
-    def fetch(local: str) -> Term:
-        key = ns.expand("ex:" + local)
-        if key not in by_pred:
-            raise MissingFieldError(f"missing predicate ex:{local}")
-        return by_pred[key]
-
-    def as_literal(term: Term, datatype: Datatype, local: str) -> Literal:
-        if not isinstance(term, Literal) or term.datatype is not datatype:
-            raise BadLiteralError(f"ex:{local} must be a {datatype.value} literal")
-        return term
-
-    def as_iri(term: Term, local: str) -> Iri:
-        if not isinstance(term, Iri):
-            raise BadLiteralError(f"ex:{local} must be an IRI")
-        return term
-
+    fields: dict[str, object] = {"id": subject}
     try:
-        return CanonicalObservation(
-            id=subject,
-            sensor_id=as_iri(fetch("bySensor"), "bySensor"),
-            property=as_iri(fetch("observedProperty"), "observedProperty"),
-            value=as_literal(fetch("hasValue"), Datatype.DOUBLE, "hasValue").as_float(),
-            unit=as_iri(fetch("hasUnit"), "hasUnit"),
-            timestamp=parse_utc_instant(
-                as_literal(fetch("atTime"), Datatype.DATETIME, "atTime").lexical),
-            lat=as_literal(fetch("lat"), Datatype.DOUBLE, "lat").as_float(),
-            lon=as_literal(fetch("lon"), Datatype.DOUBLE, "lon").as_float(),
-        )
+        for local, field, datatype in OBSERVATION_SHAPE:
+            term = by_pred.get(ns.expand("ex:" + local))
+            if term is None:
+                raise MissingFieldError(f"missing predicate ex:{local}")
+            if datatype is None:
+                if not isinstance(term, Iri):
+                    raise BadLiteralError(f"ex:{local} must be an IRI")
+                fields[field] = term
+            elif not isinstance(term, Literal) or term.datatype is not datatype:
+                raise BadLiteralError(f"ex:{local} must be a {datatype.value} literal")
+            elif datatype is Datatype.DATETIME:
+                fields[field] = parse_utc_instant(term.lexical)
+            else:
+                fields[field] = float(term.lexical)
+        return CanonicalObservation(**fields)
     except ValueError as exc:    # a bad lexical form or an out-of-range field
         raise BadLiteralError(str(exc))

@@ -21,7 +21,7 @@ from ..cep.engine import Engine, Event, Firing
 from ..cep.rules import CepRule, parse_ruleset
 from ..errors import SemDroughtError
 from ..forecast import (
-    BaselineClimatology,
+    ClimatologyEntry,
     ForecastBulletin,
     NoDataError,
     build_climatology,
@@ -37,16 +37,16 @@ from ..ingest import (
     parse_timestamp,
 )
 from ..model import (
+    OBSERVATION_SHAPE,
     RDF_NS,
     CanonicalObservation,
-    Datatype,
     Iri,
     Namespaces,
     Term,
     Triple,
     Vocabulary,
-    canonical_double,
     format_utc_instant,
+    lexical_form,
     observation_to_triples,
     parse_utc_instant,
     triples_to_observation,
@@ -272,7 +272,8 @@ class Pipeline:
 
     # -- forecasting ----------------------------------------------------------
 
-    def _climatology(self, region: str, period_start: int) -> BaselineClimatology:
+    def _climatology(self, region: str,
+                     period_start: int) -> dict[tuple[str, int], ClimatologyEntry]:
         window = self.config.baseline_window
         if window is None:
             window = (0, period_start)
@@ -385,8 +386,9 @@ class Pipeline:
         region, or one whose lines are not exactly what ``serialize`` renders
         for a saturated observation, keeps its triples in the store verbatim.
         The persisted logs replace the current ones, and nothing changes if
-        any file is damaged. Engines stay empty (persisted firings stand in
-        for them).
+        any file is damaged. Each region gets an empty engine that rejects
+        events older than the region's last restored reading or report
+        (persisted firings stand in for the engine's past ones).
         """
         directory = Path(directory)
         store_path = directory / STORE_FILE
@@ -413,6 +415,9 @@ class Pipeline:
                 self._observations[self._region_of_sensor[obs.sensor_id.value]].append(obs)
             for region, log in self._observations.items():
                 self._saturated[region] = len(log)
+                times = [o.timestamp for o in ik.observations if o.region == region]
+                times.extend(o.timestamp for o in log)
+                self._engines[region] = Engine(self.rules, max(times, default=None))
             self._view = None
             self.ik = ik
             self._firings = firings
@@ -453,23 +458,19 @@ class ObservationLines:
     def __init__(self, ns: Namespaces):
         self._type = term_text(ns.iri("rdf:type"))
         self._event_class = term_text(ns.iri("ex:ObservationEvent"))
-        self._predicates = [self._type] + [term_text(ns.iri("ex:" + local)) for local in (
-            "bySensor", "observedProperty", "hasValue", "hasUnit", "atTime", "lat", "lon")]
+        self._shape = [(term_text(ns.iri("ex:" + local)), field, datatype)
+                       for local, field, datatype in OBSERVATION_SHAPE]
 
     def render(self, obs: CanonicalObservation, super_types=()) -> list[str]:
-        double = Datatype.DOUBLE
-        objects = (
-            self._event_class,
-            term_text(obs.sensor_id),
-            term_text(obs.property),
-            literal_text(canonical_double(obs.value), double),
-            term_text(obs.unit),
-            literal_text(format_utc_instant(obs.timestamp), Datatype.DATETIME),
-            literal_text(canonical_double(obs.lat), double),
-            literal_text(canonical_double(obs.lon), double),
-        )
         s = term_text(obs.id)
-        lines = [statement(s, p, o) for p, o in zip(self._predicates, objects)]
+        lines = [statement(s, self._type, self._event_class)]
+        for predicate, field, datatype in self._shape:
+            value = getattr(obs, field)
+            if datatype is None:
+                lines.append(statement(s, predicate, term_text(value)))
+            else:
+                lines.append(statement(
+                    s, predicate, literal_text(lexical_form(value, datatype), datatype)))
         lines.extend(statement(s, self._type, cls) for cls in super_types)
         return lines
 

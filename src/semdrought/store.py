@@ -103,14 +103,11 @@ def _unify(pattern: TriplePattern, triple: Triple) -> Binding | None:
 
 
 class TripleStore:
-    """In-memory triple set with positional indexes and inferred-triple marks."""
+    """In-memory triple set with inferred-triple marks."""
 
     def __init__(self):
         self._triples: set[Triple] = set()
         self._inferred: set[Triple] = set()
-        self._by_subject: dict[Term, set[Triple]] = {}
-        self._by_predicate: dict[Term, set[Triple]] = {}
-        self._by_object: dict[Term, set[Triple]] = {}
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -131,28 +128,13 @@ class TripleStore:
         self._triples.add(triple)
         if inferred:
             self._inferred.add(triple)
-        self._by_subject.setdefault(triple.subject, set()).add(triple)
-        self._by_predicate.setdefault(triple.predicate, set()).add(triple)
-        self._by_object.setdefault(triple.object, set()).add(triple)
         return True
-
-    def _candidates(self, pattern: TriplePattern) -> set[Triple]:
-        pools = []
-        if not isinstance(pattern.subject, Variable):
-            pools.append(self._by_subject.get(pattern.subject, set()))
-        if not isinstance(pattern.predicate, Variable):
-            pools.append(self._by_predicate.get(pattern.predicate, set()))
-        if not isinstance(pattern.object, Variable):
-            pools.append(self._by_object.get(pattern.object, set()))
-        if not pools:
-            return self._triples
-        return min(pools, key=len)
 
     def match_pattern(self, pattern: TriplePattern) -> list[Binding]:
         """One binding per unifying triple, in no fixed order; distinct
         triples give distinct bindings. Ground patterns yield [{}] if present."""
         out: list[Binding] = []
-        for triple in self._candidates(pattern):
+        for triple in self._triples:
             binding = _unify(pattern, triple)
             if binding is not None:
                 out.append(binding)

@@ -7,7 +7,6 @@ PASS lines; any assertion failure prints the matching FAIL line instead.
 import json
 import random
 import statistics
-import threading
 import time
 import urllib.request
 import urllib.error
@@ -45,8 +44,8 @@ from semdrought.model import (
     observation_to_triples,
 )
 from semdrought.service import Pipeline, load_config
-from semdrought.service.httpd import serve
 from semdrought.store import InferenceRule, TriplePattern, TripleStore, Variable
+from live_server import running_server
 from test_cep_engine import oracle_firings
 from test_store import oracle_fixpoint
 
@@ -257,7 +256,7 @@ def test_criterion_4_numeric_kernels():
             checked += 1
 
         sensor = NS.join("sensor/s1")
-        unit = VOCAB.canonical_unit(NS.iri("ex:precipitation"))
+        unit = VOCAB.property_units[NS.iri("ex:precipitation")]
         for case in range(1000):
             month = case % 12 + 1
             samples = [rng.uniform(0, 40) for _ in range(rng.randint(2, 24))]
@@ -273,8 +272,8 @@ def test_criterion_4_numeric_kernels():
                 )
                 for i, v in enumerate(samples)
             ]
-            entry = build_climatology(history, min_count=2).entry(
-                NS.iri("ex:precipitation"), month)
+            entry = build_climatology(history, min_count=2)[
+                (NS.expand("ex:precipitation"), month)]
             mean = sum(samples) / len(samples)
             var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
             assert abs(entry.mean - mean) <= 1e-9
@@ -409,11 +408,8 @@ def test_criterion_8_dissemination_contract(drought_world):
         target, _ = drought_world
         pipeline = Pipeline(load_config(scenario.config_path(target)))
         pipeline.replay(scenario.dataset_path(target))
-        httpd = serve(pipeline, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{httpd.server_address[1]}"
-        try:
+        with running_server(pipeline) as port:
+            base = f"http://127.0.0.1:{port}"
             before = _get(f"{base}/forecast?region=r1&period=2022-12")[1]
 
             status, body = _post(f"{base}/observations", {
@@ -444,6 +440,3 @@ def test_criterion_8_dissemination_contract(drought_world):
             assert isinstance(rules["rules"], list) and rules["rules"]
             from semdrought.cep import parse_ruleset
             parse_ruleset("\n".join(rules["rules"]), pipeline.ns)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()

@@ -186,6 +186,15 @@ class TestOutOfOrder:
         engine = Engine([rule("RULE r WHEN COUNT(k) >= 2 WITHIN 1d EMIT E")])
         assert len(engine.run([ev("k", 5, 1.0), ev("k", 5, 2.0)])) == 1
 
+    def test_resumed_engine_rejects_earlier_events_and_anchors_on_the_next(self):
+        rules = [rule("RULE r WHEN COUNT(k) >= 1 WITHIN 2d STEP 1d EMIT E")]
+        resumed = Engine(rules, last_timestamp=5 * DAY)
+        with pytest.raises(OutOfOrderError):
+            resumed.push_event(ev("k", 5 * DAY - 1, 1.0))
+        assert resumed.flush() == []
+        later = [ev("k", 5 * DAY, 1.0), ev("k", 6 * DAY + 7, 1.0), ev("x", 9 * DAY, 0.0)]
+        assert resumed.run(later) == Engine(rules).run(later)
+
 
 class TestAggregates:
     def test_avg(self):

@@ -245,3 +245,18 @@ class TestTokenizer:
                 pos = start + len(token.text)
             rest = line[pos:].lstrip(" \t")
             assert rest == "" or rest.startswith("#")
+
+    def test_comment_runs_past_other_line_separators(self):
+        with pytest.raises(RuleSyntaxError, match="expected keyword RULE, found end of input"):
+            parse_ruleset("# note\x85RULE a WHEN x > 1 WITHIN 1d EMIT Y", NS)
+
+    def test_carriage_return_ends_a_line(self):
+        *body, eof = _tokenize("RULE a WHEN x > 1\rWITHIN 1d EMIT Y")
+        assert [t.line for t in body] == [1] * 6 + [2] * 4
+        assert (eof.line, eof.column) == (2, 1)
+        assert _tokenize("RULE a\r\nWITHIN")[-1].line == 2
+
+    def test_form_feed_outside_a_comment_is_no_token(self):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_ruleset("RULE a WHEN x > 1\x0cWITHIN 1d EMIT Y", NS)
+        assert (err.value.line, err.value.column, err.value.found) == (1, 18, "'\\x0c'")

@@ -9,14 +9,14 @@ import json
 import re
 import shutil
 import socket
-import threading
 
 import pytest
 
 import scenario
 from semdrought.service import Pipeline, load_config
 from semdrought.service.cli import main as cli_main
-from semdrought.service.httpd import serve
+
+from live_server import running_server
 
 PRE_EPOCH_IK = {"indicator_id": "ants_nest_high", "timestamp": "1969-12-01T00:00:00Z",
                 "region": "r1", "confidence": 1.0}
@@ -33,14 +33,8 @@ def scenario_dir(tmp_path_factory):
 def server(scenario_dir):
     """A server over a fresh pipeline that holds no observations."""
     pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
-    httpd = serve(pipeline, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd.server_address[1], pipeline
-    httpd.shutdown()
-    httpd.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with running_server(pipeline) as port:
+        yield port, pipeline
 
 
 def raw_post(port: int, path: str, body: bytes, length: bytes | None = None):

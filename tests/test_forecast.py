@@ -54,7 +54,7 @@ def obs(prop, value: float, when: int) -> CanonicalObservation:
 class TestClimatology:
     def test_two_point_formula(self):
         history = [obs(PRECIP, 10.0, ts(2020, 1)), obs(PRECIP, 20.0, ts(2021, 1))]
-        entry = build_climatology(history).entry(PRECIP, 1)
+        entry = build_climatology(history)[(PRECIP.value, 1)]
         assert entry.mean == 15.0
         assert entry.std == pytest.approx(math.sqrt(50.0), abs=1e-9)
         assert entry.count == 2
@@ -62,7 +62,7 @@ class TestClimatology:
 
     def test_identical_samples_unusable(self):
         history = [obs(PRECIP, 5.0, ts(2016 + y, 3)) for y in range(6)]
-        entry = build_climatology(history).entry(PRECIP, 3)
+        entry = build_climatology(history)[(PRECIP.value, 3)]
         assert entry.std == 0.0 and not entry.usable
 
     def test_synthetic_history_matches_two_pass_oracle(self):
@@ -78,14 +78,14 @@ class TestClimatology:
                        if datetime.fromtimestamp(o.timestamp, tz=timezone.utc).month == month]
             mean = sum(samples) / len(samples)
             var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-            entry = climatology.entry(PRECIP, month)
+            entry = climatology[(PRECIP.value, month)]
             assert entry.mean == pytest.approx(mean, abs=1e-9)
             assert entry.std == pytest.approx(math.sqrt(var), abs=1e-9)
             assert entry.usable
 
     def test_samples_kept_sorted(self):
         history = [obs(SOIL, v, ts(2020, 7, d)) for d, v in ((1, 9.0), (2, 1.0), (3, 5.0))]
-        entry = build_climatology(history).entry(SOIL, 7)
+        entry = build_climatology(history)[(SOIL.value, 7)]
         assert entry.samples == [1.0, 5.0, 9.0]
 
 

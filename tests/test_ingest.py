@@ -338,4 +338,4 @@ class TestAlignmentTotality:
             TABLE,
         )
         assert obs.property in VOCAB.property_units
-        assert obs.unit == VOCAB.canonical_unit(obs.property)
+        assert obs.unit == VOCAB.property_units[obs.property]

@@ -170,9 +170,8 @@ class TestTerms:
 
 class TestVocabulary:
     def test_canonical_pairs_complete(self):
-        assert len(VOCAB.properties) == 5
-        for prop in VOCAB.properties:
-            assert VOCAB.canonical_unit(prop) is not None
+        assert len(VOCAB.property_units) == 5
+        assert None not in VOCAB.property_units.values()
 
     def test_shipped_influence_fact(self):
         sm = NS.iri("ex:soilMoisture")
@@ -180,13 +179,8 @@ class TestVocabulary:
         assert (sm, temp) in VOCAB.influences
 
     def test_category_annotations(self):
-        assert VOCAB.category_of(NS.iri("ex:Sensor")) is OntologyCategory.OBJECT
-        assert VOCAB.category_of(NS.iri("ex:ObservationEvent")) is OntologyCategory.EVENT
-
-    def test_second_annotation_rejected(self):
-        vocab = Vocabulary(NS)
-        with pytest.raises(ValueError):
-            vocab.register_class(NS.iri("ex:Sensor"), OntologyCategory.STATE)
+        assert VOCAB.categories[NS.iri("ex:Sensor")] is OntologyCategory.OBJECT
+        assert VOCAB.categories[NS.iri("ex:ObservationEvent")] is OntologyCategory.EVENT
 
 
 def make_obs(sensor="s1", prop="ex:soilMoisture", unit="ex:percentVolumetric",
@@ -223,7 +217,7 @@ class TestObservationMinting:
 observation_values = st.builds(
     make_obs,
     sensor=st.sampled_from(["s1", "s2", "station-9"]),
-    prop=st.sampled_from([p.value for p in VOCAB.properties]).map(lambda v: v),
+    prop=st.sampled_from([p.value for p in VOCAB.property_units]).map(lambda v: v),
     value=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     ts=st.integers(min_value=0, max_value=4102444800),
     lat=st.floats(min_value=-90, max_value=90, allow_nan=False),

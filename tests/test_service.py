@@ -1,7 +1,6 @@
 """Service wiring tests: config, pipeline, replay, persistence, HTTP, CLI."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -17,9 +16,10 @@ from semdrought.service import (
     load_config,
 )
 from semdrought.service.cli import main as cli_main
-from semdrought.service.httpd import serve
 from semdrought.model import RDF_NS, Iri, triples_to_observation
 from semdrought.store import TripleStore
+
+from live_server import running_server
 
 
 def extract_observations(store, ns):
@@ -189,7 +189,7 @@ class TestForecastIntegration:
     def test_firing_evidence_resolves_to_window_events(self, replayed):
         _, _, pipeline, _ = replayed
         known_kinds = {r.emit for r in pipeline.rules}
-        known_kinds.update(p.value for p in pipeline.vocabulary.properties)
+        known_kinds.update(p.value for p in pipeline.vocabulary.property_units)
         known_kinds.update({"IkDrierObservation", "IkWetterObservation"})
         lengths = {r.name: r.window.length for r in pipeline.rules}
         assert pipeline.firings
@@ -252,13 +252,8 @@ class TestDeterminismAndPersistence:
 @pytest.fixture(scope="module")
 def server(replayed):
     _, manifest, pipeline, _ = replayed
-    httpd = serve(pipeline, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    port = httpd.server_address[1]
-    yield f"http://127.0.0.1:{port}", manifest, pipeline
-    httpd.shutdown()
-    httpd.server_close()
+    with running_server(pipeline) as port:
+        yield f"http://127.0.0.1:{port}", manifest, pipeline
 
 
 def http_get(url: str):

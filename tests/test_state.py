@@ -2,8 +2,8 @@
 persistence and restore.
 
 The reference for every check is the store built the original way: each
-accepted observation inserted as its eight triples into one indexed
-TripleStore, saturated at the same points.
+accepted observation inserted as its eight triples into one TripleStore,
+saturated at the same points.
 """
 
 import json
@@ -34,10 +34,10 @@ from semdrought.model import (
 )
 from semdrought.service import Pipeline, load_config
 from semdrought.service.cli import main as cli_main
-from semdrought.service.httpd import serve
 from semdrought.service.pipeline import STORE_FILE, ObservationLines
 from semdrought.store import TripleStore, builtin_rules, term_text
 
+from live_server import running_server
 from test_service import http_post
 from test_store import oracle_fixpoint
 
@@ -175,7 +175,7 @@ def csv_line(reading) -> str:
 
 
 class ReferenceStore:
-    """Seed-way state: one indexed store of every accepted observation's
+    """Seed-way state: one store of every accepted observation's
     triples, with the same duplicate and out-of-order decisions."""
 
     def __init__(self, pipeline: Pipeline):
@@ -350,20 +350,28 @@ class TestRestore:
         target, live = persisted
         pipeline = restored_copy(target, tmp_path / "copy")
         _, at = first_observation(live.store, live.ns, "s1")
-        httpd = serve(pipeline, host="127.0.0.1", port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            status, body = http_post(f"http://127.0.0.1:{httpd.server_address[1]}/observations", {
+        with running_server(pipeline) as port:
+            status, body = http_post(f"http://127.0.0.1:{port}/observations", {
                 "sensor_id": "s1", "property": "rain", "value": 1.0, "unit": "mm",
                 "timestamp": at,
             })
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
         assert status == 400 and body["error"] == "Duplicate"
+
+    def test_post_older_than_restored_events_is_out_of_order(self, persisted, tmp_path):
+        target, live = persisted
+        pipeline = restored_copy(target, tmp_path / "copy")
+        reading = {"sensor_id": "s1", "property": "rain", "value": 1.0, "unit": "mm"}
+        report = {"indicator_id": "ants_nest_high", "region": "r1", "confidence": 1.0}
+        with running_server(pipeline) as port:
+            base = f"http://127.0.0.1:{port}"
+            old = http_post(f"{base}/observations",
+                            dict(reading, timestamp="2020-01-03T01:00:00Z"))
+            old_report = http_post(f"{base}/ik", dict(report, timestamp="2020-01-03T01:00:00Z"))
+            new = http_post(f"{base}/observations",
+                            dict(reading, timestamp="2023-01-03T01:00:00Z"))
+        assert [status for status, _ in (old, old_report, new)] == [409, 409, 200]
+        assert old[1]["error"] == old_report[1]["error"] == "OutOfOrder"
+        assert pipeline.event_count == live.event_count + 1
 
     def test_saturation_after_restore_follows_restored_ontology(self, persisted, tmp_path):
         target, live = persisted
