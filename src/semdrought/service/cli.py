@@ -13,7 +13,7 @@ from ..errors import SemDroughtError
 from ..model import Namespaces
 from .config import InvalidConfigError, NotFoundError, load_config
 from .httpd import serve
-from .pipeline import STORE_FILE, Pipeline
+from .pipeline import Pipeline
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args) -> int:
     pipeline = Pipeline(load_config(args.config))
     persistence = pipeline.config.persistence_dir
-    if persistence is not None and (persistence / STORE_FILE).is_file():
+    if persistence is not None and persistence.is_dir() and any(persistence.iterdir()):
         pipeline.restore(persistence)
     server = serve(pipeline)
     host, port = server.server_address[:2]

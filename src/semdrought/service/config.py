@@ -59,11 +59,13 @@ def load_config(path: str | Path) -> Config:
         raise InvalidConfigError("(file)", "config must be a JSON object")
     base = path.parent
 
-    def file_field(name: str) -> Path:
-        value = payload.get(name)
+    def nonempty_string(name: str, value) -> str:
         if not isinstance(value, str) or not value:
-            raise InvalidConfigError(name, "a file path is required")
-        resolved = (base / value).resolve()
+            raise InvalidConfigError(name, "a non-empty string is required")
+        return value
+
+    def file_field(name: str) -> Path:
+        resolved = (base / nonempty_string(name, payload.get(name))).resolve()
         if not resolved.is_file():
             raise NotFoundError(f"{name} file not found: {resolved}")
         return resolved
@@ -106,9 +108,14 @@ def load_config(path: str | Path) -> Config:
     http_raw = payload.get("http", {})
     if not isinstance(http_raw, dict):
         raise InvalidConfigError("http", "expected an object")
+    port = http_raw.get("port", 8080)
+    if type(port) is not int or not 0 <= port <= 65535:
+        raise InvalidConfigError("http.port", "expected an integer in 0-65535")
 
     persistence = payload.get("persistence_dir")
-    persistence_dir = (base / persistence).resolve() if persistence else None
+    persistence_dir = None
+    if persistence is not None:
+        persistence_dir = (base / nonempty_string("persistence_dir", persistence)).resolve()
 
     baseline_raw = payload.get("baseline")
     baseline = None
@@ -128,15 +135,15 @@ def load_config(path: str | Path) -> Config:
         return value
 
     return Config(
-        base_iri=payload.get("base_iri", DEFAULT_BASE_IRI),
+        base_iri=nonempty_string("base_iri", payload.get("base_iri", DEFAULT_BASE_IRI)),
         alignment_table_path=alignment,
         indicators_path=indicators,
         rules_path=rules,
         regions=regions,
         weights=weights,
         severity_thresholds=thresholds,
-        http_host=http_raw.get("host", "127.0.0.1"),
-        http_port=int(http_raw.get("port", 8080)),
+        http_host=nonempty_string("http.host", http_raw.get("host", "127.0.0.1")),
+        http_port=port,
         persistence_dir=persistence_dir,
         baseline_window=baseline,
         ik_window_days=positive_int("ik_window_days", 90),

@@ -15,9 +15,15 @@ from ..errors import SemDroughtError
 from ..forecast import InsufficientBaselineError, NoDataError
 from .pipeline import Pipeline, UnknownRegionError
 
+MAX_BODY_BYTES = 1 << 20    # a longer request body is refused unread
+
 
 class BadRequestError(SemDroughtError):
     code = "BadRequest"
+
+
+class PayloadTooLargeError(SemDroughtError):
+    code = "PayloadTooLarge"
 
 
 class ApiServer(ThreadingHTTPServer):
@@ -55,6 +61,9 @@ class ApiHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self.close_connection = True    # the body's end is unknown
             raise BadRequestError("Content-Length must be a non-negative integer")
+        if int(length) > MAX_BODY_BYTES:
+            self.close_connection = True    # the body is left unread
+            raise PayloadTooLargeError(f"body exceeds {MAX_BODY_BYTES} bytes")
         try:
             return self.rfile.read(int(length)).decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -105,6 +114,8 @@ class ApiHandler(BaseHTTPRequestHandler):
                 return
         except OutOfOrderError as exc:
             self._error(409, exc)
+        except PayloadTooLargeError as exc:
+            self._error(413, exc)
         except SemDroughtError as exc:
             self._error(400, exc)
         else:

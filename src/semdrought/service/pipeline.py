@@ -5,8 +5,8 @@ Observations replayed from file and observations posted over HTTP travel
 the identical route, so replay tests cover the live path. Each region owns
 one event engine, preserving the in-order input contract per region while
 regions proceed independently. The per-region observation logs are the
-state; observations' triples are rendered from them for persistence and
-for the ``store`` view.
+state, persisted as they are held; observations' triples are rendered from
+them for ``export`` and for the ``store`` view.
 """
 
 import json
@@ -40,29 +40,21 @@ from ..model import (
     OBSERVATION_SHAPE,
     RDF_NS,
     CanonicalObservation,
+    Datatype,
     Iri,
     Namespaces,
-    Term,
     Triple,
     Vocabulary,
     format_utc_instant,
-    lexical_form,
     observation_to_triples,
     parse_utc_instant,
-    triples_to_observation,
+    triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
 )
-from ..store import (
-    ParseError,
-    TripleStore,
-    builtin_rules,
-    literal_text,
-    parse_lines,
-    statement,
-    term_text,
-)
+from ..store import ParseError, TripleStore, builtin_rules
 from .config import Config, InvalidConfigError
 
-STORE_FILE = "store.nt"
+OBSERVATION_LOG_FILE = "observations.jsonl"
+FACTS_FILE = "facts.nt"
 IK_LOG_FILE = "ik_log.jsonl"
 FIRING_LOG_FILE = "firings.jsonl"
 
@@ -106,9 +98,8 @@ class Pipeline:
             config.indicators_path.read_text(encoding="utf-8")
         )
         self.rules = self._load_rules()
-        self._lines = ObservationLines(self.ns)
-        # triples beyond the observations: the ontology, derived facts and
-        # whatever a restored store.nt held that no observation accounts for
+        # triples beyond the observations: the ontology, any other asserted
+        # facts a restore loads, and what saturation derives from them
         self._facts = TripleStore()
         for triple in self.vocabulary.as_triples():
             self._facts.insert(triple)
@@ -120,13 +111,11 @@ class Pipeline:
             for raw_id in sensors:
                 self._region_of_sensor[self.table.sensor(raw_id).iri.value] = region
         # the observation log is the state; each region's first _saturated[region]
-        # entries carry their super-type triples, and observations whose ids are in
-        # _kept_in_facts are restored ones whose triples _facts holds verbatim
+        # entries carry their super-type triples
         self._observations: dict[str, list[CanonicalObservation]] = {
             region: [] for region in config.regions
         }
         self._saturated = {region: 0 for region in config.regions}
-        self._kept_in_facts: set[str] = set()
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
         self.lock = threading.RLock()
@@ -166,16 +155,19 @@ class Pipeline:
             raise UnknownRegionError(f"sensor {sensor.value} belongs to no region")
         return region
 
+    def _region_of_new(self, obs: CanonicalObservation, ids: set[str]) -> str:
+        """The observation's region, unless its id is already in ``ids``."""
+        region = self.region_of(obs.sensor_id)
+        if obs.id.value in ids:
+            raise DuplicateObservationError(f"observation already ingested: {obs.id.value}")
+        return region
+
     def ingest_payload(self, source_format: str,
                        payload: str) -> tuple[CanonicalObservation, list[Firing]]:
         """Parse, canonicalize, log and stream into the region engine."""
         obs = canonicalize(parse_payload(source_format, payload), self.table)
         with self.lock:
-            region = self.region_of(obs.sensor_id)
-            if obs.id.value in self._observation_ids:
-                raise DuplicateObservationError(
-                    f"observation already ingested: {obs.id.value}"
-                )
+            region = self._region_of_new(obs, self._observation_ids)
             event = Event(
                 kind=obs.property.value,
                 timestamp=obs.timestamp,
@@ -322,83 +314,83 @@ class Pipeline:
                 for triple in self._facts:
                     view.insert(triple, inferred=self._facts.is_inferred(triple))
                 rdf_type = Iri(RDF_NS + "type")
-                super_types = self._super_types(self._facts)
-                for obs, saturated in self._rendered_observations():
-                    for triple in observation_to_triples(self.ns, obs):
-                        view.insert(triple)
-                    if saturated:
-                        for cls in super_types:
-                            view.insert(Triple(obs.id, rdf_type, cls), inferred=True)
+                event_class = self.ns.iri("ex:ObservationEvent")
+                sub_class = self.ns.iri("ex:subClassOf")
+                # once saturated, the whole subClassOf closure of the event class
+                super_types = {t.object for t in self._facts if t.subject == event_class
+                               and t.predicate == sub_class} - {event_class}
+                for region, log in self._observations.items():
+                    for index, obs in enumerate(log):
+                        for triple in observation_to_triples(self.ns, obs):
+                            view.insert(triple)
+                        if index < self._saturated[region]:
+                            for cls in super_types:
+                                view.insert(Triple(obs.id, rdf_type, cls), inferred=True)
                 self._view = view
             return self._view
 
     def serialize(self) -> str:
-        """The state as N-Triples: ``store.serialize()``, rendered from the
-        observations' fields instead of their triples."""
-        with self.lock:
-            super_types = [term_text(cls) for cls in self._super_types(self._facts)]
-            lines: list[str] = []
-            for obs, saturated in self._rendered_observations():
-                lines.extend(self._lines.render(obs, super_types if saturated else ()))
-            return self._facts.serialize(lines)
-
-    def _super_types(self, triples: Iterable[Triple]) -> list[Term]:
-        """Classes ``triples`` make ``ex:ObservationEvent`` a subclass of; in a
-        saturated store, its whole subClassOf closure."""
-        event_class = self.ns.iri("ex:ObservationEvent")
-        sub_class = self.ns.iri("ex:subClassOf")
-        return list({t.object for t in triples
-                     if t.subject == event_class and t.predicate == sub_class} - {event_class})
-
-    def _rendered_observations(self):
-        """(observation, saturated) for each logged observation whose triples
-        the store does not hold itself."""
-        for region, log in self._observations.items():
-            mark = self._saturated[region]
-            for index, obs in enumerate(log):
-                if obs.id.value not in self._kept_in_facts:
-                    yield obs, index < mark
+        """The state as N-Triples, as ``export`` writes it: ``store.serialize()``."""
+        return self.store.serialize()
 
     # -- persistence ----------------------------------------------------------
 
     def persist(self, directory: str | Path) -> None:
+        """Write the state as it is held: the observation log, the store's
+        asserted triples, the IK log and the firing log."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(directory / STORE_FILE, self.serialize())
-        _write_jsonl(directory / IK_LOG_FILE, ({
-            "indicator_id": o.indicator_id,
-            "timestamp": format_utc_instant(o.timestamp),
-            "region": o.region,
-            "confidence": o.confidence,
-        } for o in self.ik.observations))
-        _write_jsonl(directory / FIRING_LOG_FILE, ({
-            "region": region,
-            "rule": firing.rule,
-            "at": format_utc_instant(firing.window_end),
-            "kind": firing.event.kind,
-        } for region, firing in self._firings))
+        with self.lock:
+            _write_jsonl(directory / OBSERVATION_LOG_FILE, (
+                _observation_row(obs) for log in self._observations.values() for obs in log))
+            asserted = TripleStore()
+            for triple in self._facts:
+                if not self._facts.is_inferred(triple):
+                    asserted.insert(triple)
+            _atomic_write(directory / FACTS_FILE, asserted.serialize())
+            _write_jsonl(directory / IK_LOG_FILE, ({
+                "indicator_id": o.indicator_id,
+                "timestamp": format_utc_instant(o.timestamp),
+                "region": o.region,
+                "confidence": o.confidence,
+            } for o in self.ik.observations))
+            _write_jsonl(directory / FIRING_LOG_FILE, ({
+                "region": region,
+                "rule": firing.rule,
+                "at": format_utc_instant(firing.window_end),
+                "kind": firing.event.kind,
+            } for region, firing in self._firings))
 
     def restore(self, directory: str | Path) -> None:
         """Rebuild forecastable state from persisted artifacts.
 
-        Observations come back into the log through the inverse mapping; the
-        store keeps every other triple. An observation from a sensor in no
-        region, or one whose lines are not exactly what ``serialize`` renders
-        for a saturated observation, keeps its triples in the store verbatim.
-        The persisted logs replace the current ones, and nothing changes if
-        any file is damaged. Each region gets an empty engine that rejects
-        events older than the region's last restored reading or report
-        (persisted firings stand in for the engine's past ones).
+        The persisted logs replace the current ones, in their logged order,
+        and the persisted triples, saturated again, replace the store's;
+        nothing changes if any file is missing or damaged. Each region gets
+        an empty engine that rejects events older than the region's last
+        restored reading or report (persisted firings stand in for the
+        engine's past ones).
         """
         directory = Path(directory)
-        store_path = directory / STORE_FILE
-        if not store_path.is_file():
-            raise SemDroughtError(f"no persisted store at {store_path}")
+        for name in (OBSERVATION_LOG_FILE, FACTS_FILE):
+            if not (directory / name).is_file():
+                raise SemDroughtError(
+                    f"no {name} in {directory}; re-run replay to persist the state")
+        logs: dict[str, list[CanonicalObservation]] = {region: [] for region in self._observations}
+        ids: set[str] = set()
+
+        def log_observation(row) -> None:
+            obs = _logged_observation(row)
+            logs[self._region_of_new(obs, ids)].append(obs)
+            ids.add(obs.id.value)
+
+        _read_jsonl(directory / OBSERVATION_LOG_FILE, log_observation)
+        facts_path = directory / FACTS_FILE
         try:
-            text = store_path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise SemDroughtError(f"{store_path} is not UTF-8: {exc}")
-        facts, observations, kept = self._split_store(text)
+            facts = TripleStore.load(facts_path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, ParseError) as exc:
+            raise SemDroughtError(f"{facts_path}: {exc}") from exc
+        facts.saturate(builtin_rules(self.ns))
         ik = IkRegistry()
         for indicator in self.ik.indicators:
             ik.register_indicator(indicator)
@@ -407,13 +399,9 @@ class Pipeline:
         firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)
         with self.lock:
             self._facts = facts
-            self._observation_ids = {obs.id.value for obs in observations}
-            self._kept_in_facts = kept
-            for region in self._observations:
-                self._observations[region] = []
-            for obs in observations:
-                self._observations[self._region_of_sensor[obs.sensor_id.value]].append(obs)
-            for region, log in self._observations.items():
+            self._observation_ids = ids
+            self._observations = logs
+            for region, log in logs.items():
                 self._saturated[region] = len(log)
                 times = [o.timestamp for o in ik.observations if o.region == region]
                 times.extend(o.timestamp for o in log)
@@ -421,58 +409,6 @@ class Pipeline:
             self._view = None
             self.ik = ik
             self._firings = firings
-
-    def _split_store(self, text: str):
-        """Parse a persisted store into (store, observations in timestamp order,
-        ids of observations kept in the store)."""
-        rdf_type = Iri(RDF_NS + "type")
-        event_class = self.ns.iri("ex:ObservationEvent")
-        by_subject: dict[Term, list[tuple[str, Triple]]] = {}
-        for line, triple in parse_lines(text):
-            by_subject.setdefault(triple.subject, []).append((line, triple))
-        super_types = [term_text(cls) for cls in self._super_types(
-            t for _, t in by_subject.get(event_class, ()))]
-        kept_lines: list[str] = []
-        observations, kept_ids = [], set()
-        for group in by_subject.values():
-            lines = [line for line, _ in group]
-            if any(t.predicate == rdf_type and t.object == event_class for _, t in group):
-                obs = triples_to_observation(self.ns, [t for _, t in group])
-                if obs.sensor_id.value in self._region_of_sensor:
-                    observations.append(obs)
-                    rendered = set(self._lines.render(obs, super_types))
-                    if rendered.issubset(lines):
-                        lines = [line for line in lines if line not in rendered]
-                    else:
-                        kept_ids.add(obs.id.value)
-            kept_lines.extend(lines)
-        observations.sort(key=lambda o: (o.timestamp, o.id.value))
-        return TripleStore.load("\n".join(kept_lines)), observations, kept_ids
-
-
-class ObservationLines:
-    """An observation's N-Triples lines rendered straight from its fields:
-    those of ``observation_to_triples``, in its order, then one ``rdf:type``
-    line per super-type (class terms already rendered by ``term_text``)."""
-
-    def __init__(self, ns: Namespaces):
-        self._type = term_text(ns.iri("rdf:type"))
-        self._event_class = term_text(ns.iri("ex:ObservationEvent"))
-        self._shape = [(term_text(ns.iri("ex:" + local)), field, datatype)
-                       for local, field, datatype in OBSERVATION_SHAPE]
-
-    def render(self, obs: CanonicalObservation, super_types=()) -> list[str]:
-        s = term_text(obs.id)
-        lines = [statement(s, self._type, self._event_class)]
-        for predicate, field, datatype in self._shape:
-            value = getattr(obs, field)
-            if datatype is None:
-                lines.append(statement(s, predicate, term_text(value)))
-            else:
-                lines.append(statement(
-                    s, predicate, literal_text(lexical_form(value, datatype), datatype)))
-        lines.extend(statement(s, self._type, cls) for cls in super_types)
-        return lines
 
 
 def _ik_observation(payload) -> IkObservation:
@@ -489,6 +425,33 @@ def _ik_observation(payload) -> IkObservation:
         raise IngestError(f"bad indigenous-knowledge payload: {exc}")
 
 
+# an observation as ``persist`` logs it, one JSON array per observation: its id,
+# then the fields of OBSERVATION_SHAPE in table order, IRIs as their strings
+_ROW_FIELDS = (("id", None),) + tuple((f, d) for _, f, d in OBSERVATION_SHAPE)
+_ROW_TYPES = {None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, float)}
+
+
+def _observation_row(obs: CanonicalObservation) -> list:
+    values = [getattr(obs, field) for field, _ in _ROW_FIELDS]
+    return [v.value if isinstance(v, Iri) else v for v in values]
+
+
+def _logged_observation(row) -> CanonicalObservation:
+    """The observation of one ``persist`` log row; a row of the wrong shape,
+    a value of the wrong type or out of range raises ValueError."""
+    if not isinstance(row, list) or len(row) != len(_ROW_FIELDS):
+        raise ValueError(f"expected an array of {len(_ROW_FIELDS)} values")
+    fields = {}
+    for (field, datatype), value in zip(_ROW_FIELDS, row):
+        if type(value) not in _ROW_TYPES[datatype]:     # also rejects booleans
+            raise ValueError(f"{field} must be of type "
+                             f"{' or '.join(t.__name__ for t in _ROW_TYPES[datatype])}")
+        fields[field] = (Iri(value) if datatype is None
+                         else float(value) if datatype is Datatype.DOUBLE else value)
+    format_utc_instant(fields["timestamp"])     # raises past the year 9999
+    return CanonicalObservation(**fields)
+
+
 def _logged_firing(payload) -> tuple[str, Firing]:
     """A (region, firing) pair from its ``persist`` log record."""
     at = parse_utc_instant(payload["at"])
@@ -498,7 +461,7 @@ def _logged_firing(payload) -> tuple[str, Firing]:
     )
 
 
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+def _write_jsonl(path: Path, records: Iterable) -> None:
     _atomic_write(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
@@ -512,7 +475,7 @@ def _read_jsonl(path: Path, build) -> list:
         if line.strip():
             try:
                 out.append(build(json.loads(line)))
-            except (KeyError, TypeError, ValueError, SemDroughtError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, SemDroughtError) as exc:
                 raise ParseError(number, f"{path}: {exc}") from exc
     return out
 

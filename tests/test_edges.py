@@ -1,8 +1,8 @@
 """Malformed input at the service's edges: HTTP request bodies and routes,
-indigenous-knowledge reports dated before the epoch or out of order, and
-damaged or repeatedly restored persisted state. Each gets a typed error and
-a defined HTTP status or CLI exit code, never a dropped connection, a
-traceback or a changed state."""
+config files, indigenous-knowledge reports dated before the epoch or out of
+order, and damaged, outdated or repeatedly restored persisted state. Each
+gets a typed error and a defined HTTP status or CLI exit code, never a
+dropped connection, a traceback or a changed state."""
 
 import http.client
 import json
@@ -13,8 +13,9 @@ import socket
 import pytest
 
 import scenario
-from semdrought.service import Pipeline, load_config
+from semdrought.service import Pipeline, cli, load_config
 from semdrought.service.cli import main as cli_main
+from semdrought.service.httpd import MAX_BODY_BYTES
 
 from live_server import running_server
 
@@ -68,6 +69,39 @@ class TestHttpBodies:
         assert status == 400
         assert reply["error"] == "BadRequest"
         assert pipeline.event_count == 0
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 1000000000000000])
+    def test_oversized_body_gets_413_unread(self, server, length):
+        port, pipeline = server
+        request = (b"POST /observations HTTP/1.1\r\nHost: localhost\r\n"
+                   b"Content-Length: %d\r\n\r\n{}" % length)
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 413
+            assert json.loads(response.read())["error"] == "PayloadTooLarge"
+            assert sock.recv(1) == b""                 # the server closed the connection
+        assert pipeline.event_count == 0
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("edit", [
+        {"http": {"port": "x"}}, {"http": {"port": None}}, {"http": {"port": 70000}},
+        {"http": {"port": True}}, {"http": {"host": 5}}, {"http": {"host": ""}},
+        {"persistence_dir": 5}, {"persistence_dir": ""}, {"base_iri": 5},
+    ], ids=repr)
+    def test_exits_1(self, scenario_dir, tmp_path, capsys, edit):
+        config = json.loads(scenario.config_path(scenario_dir).read_text())
+        config.update(edit)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        for name in ("alignment.json", "indicators.json", "detection.rules"):
+            shutil.copy(scenario_dir / name, tmp_path / name)
+        capsys.readouterr()
+        assert cli_main(["replay", "--config", str(path),
+                         "--input", str(scenario.dataset_path(scenario_dir))]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestUnknownRoute:
@@ -131,13 +165,37 @@ def persisted(tmp_path_factory):
     return target
 
 
+def append_row(edit):
+    """A damage that appends a copy of the first observation row, changed by
+    ``edit``."""
+    def damage(data: bytes) -> bytes:
+        row = json.loads(data.splitlines()[0])
+        edit(row)
+        return data + json.dumps(row).encode() + b"\n"
+    return damage
+
+
 class TestDamagedState:
     @pytest.mark.parametrize("file_name, damage, reported", [
         ("ik_log.jsonl", lambda data: data + b"{not json\n", "ik_log.jsonl"),
         ("firings.jsonl", lambda data: data + b'{"region": "r1"}\n', "firings.jsonl"),
-        ("store.nt", lambda data: re.sub(rb'(#lat> )"[^"]*"', rb'\1"95"', data, count=1),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(6, 95)),
          "latitude out of range"),
-        ("store.nt", lambda data: data + b"\xff", "store.nt is not UTF-8"),
+        ("observations.jsonl", lambda data: data + b"\xff",
+         "observations.jsonl: 'utf-8' codec can't decode"),
+        ("observations.jsonl", lambda data: data + b"[1,\n",
+         "observations.jsonl: Expecting value"),
+        ("observations.jsonl", append_row(list.pop), "expected an array of 8 values"),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(1, 5)),
+         "sensor_id must be of type str"),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(3, "1.5")),
+         "value must be of type int or float"),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(5, 10 ** 12)),
+         "year 33658 is out of range"),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(1, row[1] + "9")),
+         "belongs to no region"),
+        ("observations.jsonl", append_row(lambda row: None), "observation already ingested"),
+        ("facts.nt", lambda data: data + b"\xff", "facts.nt: 'utf-8' codec can't decode"),
     ])
     def test_commands_exit_2(self, persisted, tmp_path, capsys, file_name, damage, reported):
         target = tmp_path / "copy"
@@ -152,7 +210,60 @@ class TestDamagedState:
         assert cli_main(["export", "--config", config, "--out", str(tmp_path / "out.nt")]) == 2
         assert cli_main(["forecast", "--config", config, "--region", "r1",
                          "--period", "2022-01"]) == 2
-        assert capsys.readouterr().err.count(reported) == 2
+        err = capsys.readouterr().err
+        assert err.count(reported) == 2
+        if file_name.endswith(".jsonl"):                # a bad row names its line
+            assert re.search(rf"line \d+: \S*{re.escape(file_name)}: ", err)
+
+
+class TestOutdatedState:
+    def test_store_nt_alone_exits_2(self, persisted, tmp_path, capsys, monkeypatch):
+        """State persisted as one N-Triples store.nt, with no observation log."""
+        target = tmp_path / "copy"
+        shutil.copytree(persisted, target)
+        config = str(scenario.config_path(target))
+        state = target / "state"
+        assert cli_main(["export", "--config", config, "--out", str(state / "store.nt")]) == 0
+        for path in state.iterdir():
+            if path.name != "store.nt":
+                path.unlink()
+        monkeypatch.setattr(cli, "serve", lambda pipeline: pytest.fail("served"))
+        capsys.readouterr()
+        assert cli_main(["serve", "--config", config]) == 2
+        assert cli_main(["export", "--config", config, "--out", str(tmp_path / "out.nt")]) == 2
+        assert cli_main(["forecast", "--config", config, "--region", "r1",
+                         "--period", "2022-01"]) == 2
+        assert capsys.readouterr().err.count("re-run replay") == 3
+
+
+class StoppedServer:
+    """Stands in for the server ``serve`` returns: stops at once."""
+    server_address = ("127.0.0.1", 0)
+
+    def serve_forever(self):
+        raise KeyboardInterrupt
+
+    def server_close(self):
+        pass
+
+
+class TestServeStartup:
+    @pytest.mark.parametrize("state", ["absent", "empty", "persisted"])
+    def test_restores_only_existing_state(self, persisted, tmp_path, monkeypatch, state):
+        target = tmp_path / "copy"
+        shutil.copytree(persisted, target)
+        if state != "persisted":
+            shutil.rmtree(target / "state")
+        if state == "empty":
+            (target / "state").mkdir()
+        served = []
+        monkeypatch.setattr(cli, "serve", lambda pipeline: served.append(pipeline)
+                            or StoppedServer())
+        assert cli_main(["serve", "--config", str(scenario.config_path(target))]) == 0
+        expected = Pipeline(load_config(scenario.config_path(persisted)))
+        if state == "persisted":
+            expected.restore(persisted / "state")
+        assert served[0].event_count == expected.event_count
 
 
 class TestRepeatedRestore:

@@ -216,11 +216,14 @@ class TestDeterminismAndPersistence:
         assert results[0][1] == results[1][1]          # byte-identical store
         assert results[0][2] == results[1][2]          # identical firing log
 
-    def test_persisted_store_reloads_equal(self, replayed):
+    def test_persisted_store_reloads_equal(self, replayed, tmp_path):
         target, _, pipeline, _ = replayed
-        persisted = (target / "state" / "store.nt").read_text(encoding="utf-8")
-        loaded = TripleStore.load(persisted)
-        assert set(loaded) == set(pipeline.store)
+        out = tmp_path / "export.nt"
+        assert cli_main(["export", "--config", str(scenario.config_path(target)),
+                         "--out", str(out)]) == 0
+        exported = out.read_text(encoding="utf-8")
+        assert exported == pipeline.serialize()
+        assert set(TripleStore.load(exported)) == set(pipeline.store)
 
     def test_restore_supports_offline_forecast(self, scenario_dir, replayed):
         target, manifest, live, _ = replayed
@@ -379,8 +382,9 @@ class TestCli:
         out = tmp_path / "export.nt"
         code = cli_main(["export", "--config", config, "--out", str(out)])
         assert code == 0
-        persisted = (target / "state" / "store.nt").read_text()
-        assert out.read_text() == persisted
+        replayed = Pipeline(load_config(config))
+        replayed.replay(scenario.dataset_path(target))
+        assert out.read_text() == replayed.serialize()
 
     def test_usage_error_exit_one(self, capsys):
         assert cli_main(["replay", "--config"]) == 1

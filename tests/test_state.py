@@ -1,5 +1,5 @@
 """The observation log as the state: derived triple view, rendered
-persistence and restore.
+export, persistence and restore.
 
 The reference for every check is the store built the original way: each
 accepted observation inserted as its eight triples into one TripleStore,
@@ -34,8 +34,8 @@ from semdrought.model import (
 )
 from semdrought.service import Pipeline, load_config
 from semdrought.service.cli import main as cli_main
-from semdrought.service.pipeline import STORE_FILE, ObservationLines
-from semdrought.store import TripleStore, builtin_rules, term_text
+from semdrought.service.pipeline import FACTS_FILE, _logged_observation, _observation_row
+from semdrought.store import TripleStore, builtin_rules
 
 from live_server import running_server
 from test_service import http_post
@@ -95,13 +95,18 @@ def persisted(scenario_dir):
     return scenario_dir, pipeline
 
 
-def restored_copy(scenario_dir: Path, target: Path, store_text: str | None = None) -> Pipeline:
-    """Config and persisted state copied under ``target`` (store.nt replaced
-    by ``store_text`` if given), restored into a fresh pipeline."""
+def persisted_facts(scenario_dir: Path) -> str:
+    return (load_config(scenario.config_path(scenario_dir)).persistence_dir
+            / FACTS_FILE).read_text(encoding="utf-8")
+
+
+def restored_copy(scenario_dir: Path, target: Path, facts_text: str | None = None) -> Pipeline:
+    """Config and persisted state copied under ``target`` (facts.nt replaced
+    by ``facts_text`` if given), restored into a fresh pipeline."""
     shutil.copytree(scenario_dir, target)
     state = load_config(scenario.config_path(target)).persistence_dir
-    if store_text is not None:
-        (state / STORE_FILE).write_text(store_text, encoding="utf-8")
+    if facts_text is not None:
+        (state / FACTS_FILE).write_text(facts_text, encoding="utf-8")
     pipeline = Pipeline(load_config(scenario.config_path(target)))
     pipeline.restore(state)
     return pipeline
@@ -118,16 +123,7 @@ def first_observation(store: TripleStore, ns: Namespaces, sensor: str) -> tuple[
                          if t.subject == subject and t.predicate == at_time)
 
 
-def observation(sensor: str = "s1", ts: int = START, value: float = 1.5) -> CanonicalObservation:
-    sensor_iri = NS.iri(f"ex:sensor/{sensor}")
-    return CanonicalObservation(
-        id=mint_observation_iri(NS, sensor_iri, ts), sensor_id=sensor_iri,
-        property=NS.iri("ex:precipitation"), value=value, unit=NS.iri("ex:millimetre"),
-        timestamp=ts, lat=-29.12, lon=26.21,
-    )
-
-
-# --- rendered lines ------------------------------------------------------------
+# --- persisted rows ------------------------------------------------------------
 
 observations = st.builds(
     lambda sensor, ts, value, lat, lon: CanonicalObservation(
@@ -142,19 +138,12 @@ observations = st.builds(
 )
 
 
-class TestObservationLines:
+class TestObservationRows:
     @settings(max_examples=200)
-    @given(observations, st.lists(st.sampled_from(["ex:Event", "ex:Thing"]), unique=True))
-    def test_render_equals_serialized_triples(self, obs, classes):
-        classes = [NS.iri(c) for c in classes]
-        store = TripleStore()
-        for triple in observation_to_triples(NS, obs):
-            store.insert(triple)
-        for cls in classes:
-            store.insert(Triple(obs.id, RDF_TYPE, cls))
-        lines = ObservationLines(NS).render(obs, [term_text(c) for c in classes])
-        assert len(lines) == 8 + len(classes)
-        assert TripleStore().serialize(lines) == store.serialize()
+    @given(observations)
+    def test_logged_row_round_trips_every_field(self, obs):
+        row = json.loads(json.dumps(_observation_row(obs)))
+        assert _logged_observation(row) == obs
 
 
 # --- derived view against the seed-way store -------------------------------------
@@ -289,58 +278,23 @@ class TestRestore:
     def test_export_keeps_triples_no_observation_accounts_for(self, persisted, tmp_path):
         target, live = persisted
         ns = live.ns
-        text = (load_config(scenario.config_path(target)).persistence_dir
-                / STORE_FILE).read_text(encoding="utf-8")
         obs_id, _ = first_observation(live.store, ns, "s1")
-        stray = observation(sensor="s99", ts=START)           # sensor in no region
         extra = TripleStore()
         extra.insert(Triple(ns.iri("ex:station/r1"), ns.iri("ex:note"),
                             Literal("kept", Datatype.STRING)))
         extra.insert(Triple(obs_id, ns.iri("ex:note"), Literal("checked", Datatype.STRING)))
-        for triple in observation_to_triples(ns, stray):
-            extra.insert(triple)
-        extra.insert(Triple(stray.id, RDF_TYPE, ns.iri("ex:Event")))
-        store_text = TripleStore().serialize(text.splitlines() + extra.serialize().splitlines())
-        assert len(store_text) > len(text)
+        extra_lines = extra.serialize().splitlines()
+        facts_text = TripleStore().serialize(persisted_facts(target).splitlines() + extra_lines)
 
         copy = tmp_path / "copy"
-        pipeline = restored_copy(target, copy, store_text)
+        pipeline = restored_copy(target, copy, facts_text)
         out = tmp_path / "export.nt"
         assert cli_main(["export", "--config", str(scenario.config_path(copy)),
                          "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == store_text
-        assert pipeline.serialize() == store_text == pipeline.store.serialize()
+        expected = TripleStore().serialize(live.serialize().splitlines() + extra_lines)
+        assert out.read_text(encoding="utf-8") == expected
+        assert pipeline.serialize() == expected == pipeline.store.serialize()
         assert set(extra) <= set(pipeline.store)
-        assert pipeline.event_count == live.event_count       # the stray is not logged
-        period = "2022-06"
-        assert (pipeline.bulletin("r1", period).to_json_dict()
-                == live.bulletin("r1", period).to_json_dict())
-
-    def test_export_keeps_observations_unlike_their_rendering(self, persisted, tmp_path):
-        """An observation persisted without its super-type line, or with a
-        non-canonical literal, comes back into the log; its lines stay as
-        they were."""
-        target, live = persisted
-        ns = live.ns
-        text = (load_config(scenario.config_path(target)).persistence_dir
-                / STORE_FILE).read_text(encoding="utf-8")
-        first, _ = first_observation(live.store, ns, "s1")
-        second, _ = first_observation(live.store, ns, "s2")
-        value_of_first = f"<{first.value}> <{ns.expand('ex:hasValue')}> "
-        event_of_second = f"<{second.value}> <{RDF_NS}type> <{ns.expand('ex:Event')}> ."
-        lines = []
-        for line in text.splitlines():
-            if line.startswith(value_of_first):
-                lexical = line[len(value_of_first) + 1:line.index('"^^')]
-                line = line.replace(f'"{lexical}"', f'"{lexical}.0"' if "." not in lexical
-                                    else f'"{lexical}0"')
-            if line != event_of_second:
-                lines.append(line)
-        store_text = TripleStore().serialize(lines)
-        assert len(store_text.splitlines()) == len(text.splitlines()) - 1
-
-        pipeline = restored_copy(target, tmp_path / "copy", store_text)
-        assert pipeline.serialize() == store_text == pipeline.store.serialize()
         assert pipeline.event_count == live.event_count
         period = "2022-06"
         assert (pipeline.bulletin("r1", period).to_json_dict()
@@ -376,12 +330,10 @@ class TestRestore:
     def test_saturation_after_restore_follows_restored_ontology(self, persisted, tmp_path):
         target, live = persisted
         ns = live.ns
-        text = (load_config(scenario.config_path(target)).persistence_dir
-                / STORE_FILE).read_text(encoding="utf-8")
         chain = TripleStore()
         chain.insert(Triple(ns.iri("ex:Event"), ns.iri("ex:subClassOf"), ns.iri("ex:Occurrence")))
         pipeline = restored_copy(target, tmp_path / "copy",
-                                 chain.serialize(text.splitlines()))
+                                 chain.serialize(persisted_facts(target).splitlines()))
         pipeline.ingest_payload("csv", "s1,rain,4.2,mm,2023-02-03T00:00:00Z,-29.12,26.21")
         empty = tmp_path / "empty.txt"
         empty.write_text("")
