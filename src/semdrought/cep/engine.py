@@ -12,10 +12,15 @@ Semantics pinned here:
   before the last event seen. A window covers (b - length, b].
 * Events a firing emits are re-injected at the window end and become
   visible to later boundaries only (one cascade level per timestamp).
+* The engine holds one time-ordered list per event kind that some rule's
+  pattern names, and finds a window in it by bisection; events of other
+  kinds are not held. An emitted event can be later than events pushed
+  after it; each is placed after every held event not later than it, so
+  events of one instant keep their arrival order.
 """
 
 import math
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import SemDroughtError
@@ -164,15 +169,15 @@ def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]
     raise TypeError(f"not a pattern node: {node!r}")
 
 
-def _dedupe(events: list[Event]) -> tuple[Event, ...]:
-    seen = set()
-    out = []
-    for event in events:
-        key = id(event)
-        if key not in seen:
-            seen.add(key)
-            out.append(event)
-    return tuple(out)
+def _pattern_kinds(node) -> set[str]:
+    """The event kinds a pattern reads."""
+    if isinstance(node, Seq):
+        return {node.first, node.second}
+    if isinstance(node, Not):
+        return _pattern_kinds(node.child)
+    if isinstance(node, (And, Or)):
+        return set().union(*map(_pattern_kinds, node.children))
+    return {node.kind}
 
 
 class Engine:
@@ -186,7 +191,10 @@ class Engine:
             raise ValueError("rule names must be unique within an engine")
         self.rules = sorted(rules, key=lambda r: r.name)
         self._max_length = max((r.window.length for r in rules), default=0)
-        self._buffer: deque[Event] = deque()
+        # kind -> (timestamps, events) in time order, for each kind a rule reads
+        self._held: dict[str, tuple[list[int], list[Event]]] = {}
+        self._reads = {r.name: [(kind, self._held.setdefault(kind, ([], [])))
+                                for kind in sorted(_pattern_kinds(r.pattern))] for r in rules}
         self._cursors: dict[str, int] = {}
         self._last_ts = last_timestamp
 
@@ -202,7 +210,7 @@ class Engine:
                 self._cursors[rule.name] = -(-event.timestamp // stride) * stride
         arrived = event.timestamp
         firings = self._settle(lambda rule, cursor: cursor < arrived)
-        self._buffer.append(event)
+        self._hold(event)
         self._last_ts = event.timestamp
         return firings
 
@@ -237,19 +245,23 @@ class Engine:
                     firings.append(firing)
                     emitted.append(firing.event)
                 self._cursors[rule.name] = boundary + rule.window.stride
-            self._buffer.extend(emitted)
+            for event in emitted:
+                self._hold(event)
             self._prune()
         return firings
 
+    def _hold(self, event: Event) -> None:
+        held = self._held.get(event.kind)
+        if held is not None:
+            times, events = held
+            at = bisect_right(times, event.timestamp)   # after its equals: arrival order
+            times.insert(at, event.timestamp)
+            events.insert(at, event)
+
     def _evaluate_rule(self, rule: CepRule, boundary: int) -> Firing | None:
         start = boundary - rule.window.length
-        window = sorted(
-            (e for e in self._buffer if start < e.timestamp <= boundary),
-            key=lambda e: e.timestamp,   # stable: same-instant arrival order kept
-        )
-        by_kind: dict[str, list[Event]] = {}
-        for event in window:
-            by_kind.setdefault(event.kind, []).append(event)
+        by_kind = {kind: events[bisect_right(times, start):bisect_right(times, boundary)]
+                   for kind, (times, events) in self._reads[rule.name]}
         try:
             truth, evidence = _evaluate(rule.pattern, by_kind)
         except EmptyWindowError:
@@ -258,12 +270,11 @@ class Engine:
             return None
         emitted = Event(kind=rule.emit, timestamp=boundary,
                         attributes=(("rule", rule.name),))
-        return Firing(rule=rule.name, window_end=boundary,
-                      event=emitted, evidence=_dedupe(evidence))
+        return Firing(rule=rule.name, window_end=boundary, event=emitted,   # each event once
+                      evidence=tuple({id(e): e for e in evidence}.values()))
 
     def _prune(self):
-        if not self._cursors:
-            return
         horizon = min(self._cursors.values()) - self._max_length
-        while self._buffer and self._buffer[0].timestamp <= horizon:
-            self._buffer.popleft()
+        for times, events in self._held.values():
+            cut = bisect_right(times, horizon)
+            del times[:cut], events[:cut]

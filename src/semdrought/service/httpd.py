@@ -2,7 +2,8 @@
 
 POST /observations and POST /ik feed the same pipeline path as file
 replay; GET /forecast, /rules and /health serve read snapshots. Any JSON
-display client (billboard, phone app) can sit on this contract.
+display client (billboard, phone app) can sit on this contract, and gets
+a JSON 500 for any exception no route maps to a status.
 """
 
 import json
@@ -70,6 +71,19 @@ class ApiHandler(BaseHTTPRequestHandler):
             raise BadRequestError(f"body is not UTF-8: {exc}")
 
     def do_GET(self):
+        self._answer(self._get)
+
+    def do_POST(self):
+        self._answer(self._post)
+
+    def _answer(self, route) -> None:
+        try:
+            route()
+        except Exception as exc:    # the connection stays usable for the next request
+            self.server.handle_error(self.request, self.client_address)  # traceback to stderr
+            self._send(500, {"error": "Internal", "detail": f"{type(exc).__name__}: {exc}"})
+
+    def _get(self):
         url = urlparse(self.path)
         pipeline = self.server.pipeline
         if url.path == "/health":
@@ -98,7 +112,7 @@ class ApiHandler(BaseHTTPRequestHandler):
             return
         self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
 
-    def do_POST(self):
+    def _post(self):
         url = urlparse(self.path)
         pipeline = self.server.pipeline
         try:

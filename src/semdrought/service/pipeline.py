@@ -421,7 +421,7 @@ def _ik_observation(payload) -> IkObservation:
             region=str(payload["region"]),
             confidence=float(payload["confidence"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"bad indigenous-knowledge payload: {exc}")
 
 

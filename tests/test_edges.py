@@ -1,8 +1,9 @@
 """Malformed input at the service's edges: HTTP request bodies and routes,
 config files, indigenous-knowledge reports dated before the epoch or out of
-order, and damaged, outdated or repeatedly restored persisted state. Each
-gets a typed error and a defined HTTP status or CLI exit code, never a
-dropped connection, a traceback or a changed state."""
+order, damaged, outdated or repeatedly restored persisted state, and a
+handler that fails unexpectedly. Each gets a typed error and a defined HTTP
+status or CLI exit code, never a dropped connection, a traceback or a
+changed state."""
 
 import http.client
 import json
@@ -136,6 +137,45 @@ class TestOutOfOrderIkReport:
         assert reply["error"] == "OutOfOrder"
         assert len(pipeline.ik.observations) == 1
         assert pipeline.event_count == 1
+
+
+class TestOversizedIkConfidence:
+    def test_post_gets_400(self, server):
+        port, pipeline = server
+        body = ('{"indicator_id": "ants_nest_high", "timestamp": "2020-06-01T00:00:00Z", '
+                '"region": "r1", "confidence": 1' + "0" * 400 + "}")
+        status, reply = raw_post(port, "/ik", body.encode())
+        assert status == 400
+        assert reply["error"] == "IngestError"
+        assert pipeline.ik.observations == ()
+
+
+class TestUnexpectedHandlerError:
+    @pytest.mark.parametrize("method, path, attribute", [
+        ("GET", "/forecast?region=r1", "bulletin"),
+        ("POST", "/observations", "ingest_payload"),
+    ])
+    def test_gets_json_500_and_keeps_connection(self, server, monkeypatch,
+                                                method, path, attribute):
+        port, pipeline = server
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, attribute, fail)
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        try:
+            connection.request(method, path, body="{}" if method == "POST" else None)
+            response = connection.getresponse()
+            assert response.status == 500
+            assert json.loads(response.read()) == {"error": "Internal",
+                                                   "detail": "RuntimeError: boom"}
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
 
 class TestPreEpochIkReport:
