@@ -3,6 +3,8 @@
 The oracle enumerates every rule's boundary grid over the full event list
 and re-evaluates each window from scratch with its own tiny evaluator, so
 the incremental engine is checked against a structurally different path.
+``ReScanEngine`` is the engine's settle loop over every event handed in so
+far; it checks full firings, evidence included, with flushes interleaved.
 """
 
 import random
