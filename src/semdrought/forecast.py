@@ -198,12 +198,10 @@ def period_bounds(period: str) -> tuple[int, int]:
     try:
         year, month = (int(part) for part in period.split("-"))
         start = datetime(year, month, 1, tzinfo=timezone.utc)
+        end = datetime(year + month // 12, month % 12 + 1, 1,     # the next month's first
+                       tzinfo=timezone.utc)
     except (ValueError, TypeError):
         raise ValueError(f"not a YYYY-MM period: {period!r}")
-    if month == 12:
-        end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-    else:
-        end = datetime(year, month + 1, 1, tzinfo=timezone.utc)
     return int(start.timestamp()), int(end.timestamp())
 
 

@@ -6,6 +6,7 @@ signed dryness signal and compile into count-based detection rules.
 """
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,9 +93,11 @@ class IkSignal:
 class IkRegistry:
     """Indicator definitions plus the append-only observation log."""
 
-    def __init__(self):
+    def __init__(self, indicators: Iterable[IkIndicator] = ()):
         self._indicators: dict[str, IkIndicator] = {}
         self._log: list[IkObservation] = []
+        for indicator in indicators:
+            self.register_indicator(indicator)
 
     def register_indicator(self, indicator: IkIndicator) -> None:
         if not 0.0 < indicator.weight <= 1.0:
@@ -173,18 +176,15 @@ class IkRegistry:
             raise ValueError(f"bad indicator JSON: {exc.msg}")
         if not isinstance(payload, list):
             raise ValueError("indicator file must hold a JSON array")
-        registry = cls()
-        for item in payload:
-            registry.register_indicator(IkIndicator(
-                id=item["id"],
-                phenomenon=item.get("phenomenon", ""),
-                kind=IndicatorKind(item["kind"]),
-                valence=Valence[item["valence"].upper()],
-                weight=float(item["weight"]),
-                season=frozenset(item["season"]),
-                region=item.get("region", ""),
-            ))
-        return registry
+        return cls(IkIndicator(
+            id=item["id"],
+            phenomenon=item.get("phenomenon", ""),
+            kind=IndicatorKind(item["kind"]),
+            valence=Valence[item["valence"].upper()],
+            weight=float(item["weight"]),
+            season=frozenset(item["season"]),
+            region=item.get("region", ""),
+        ) for item in payload)
 
 
 def compile_indicator_rules(

@@ -271,6 +271,8 @@ class AlignmentTable:
             payload = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad alignment table JSON: {exc.msg}")
+        if not isinstance(payload, dict):
+            raise ValueError("alignment table must hold a JSON object")
         table = cls(vocabulary)
         ns = vocabulary.ns
         for raw, compact in payload.get("terms", {}).items():

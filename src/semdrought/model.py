@@ -170,6 +170,10 @@ class Namespaces:
 
     base_iri: str = DEFAULT_BASE_IRI
 
+    def __post_init__(self):
+        if "://" not in self.base_iri or self.base_iri.split() != [self.base_iri]:
+            raise ModelError(f"base IRI needs a scheme and no whitespace: {self.base_iri!r}")
+
     def expand(self, compact: str) -> str:
         if compact.startswith("ex:"):
             return self.base_iri + compact[3:]

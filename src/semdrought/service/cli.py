@@ -10,7 +10,8 @@ from pathlib import Path
 
 from ..cep.rules import parse_ruleset
 from ..errors import SemDroughtError
-from ..model import Namespaces
+from ..forecast import period_bounds
+from ..model import DEFAULT_BASE_IRI, Namespaces
 from .config import InvalidConfigError, NotFoundError, load_config
 from .httpd import serve
 from .pipeline import Pipeline
@@ -39,22 +40,38 @@ def build_parser() -> argparse.ArgumentParser:
     replay_cmd = commands.add_parser("replay", help="replay a dataset file")
     replay_cmd.add_argument("--config", required=True)
     replay_cmd.add_argument("--input", required=True)
-    replay_cmd.add_argument("--speed", type=float, default=0.0,
-                            help="time multiplier; 0 replays as fast as possible")
 
     forecast_cmd = commands.add_parser("forecast", help="print a bulletin as JSON")
     forecast_cmd.add_argument("--config", required=True)
     forecast_cmd.add_argument("--region", required=True)
-    forecast_cmd.add_argument("--period", required=True, help="YYYY-MM")
+    forecast_cmd.add_argument("--period", required=True, type=_period, help="YYYY-MM")
 
     validate_cmd = commands.add_parser("validate-rules", help="check a rule file")
     validate_cmd.add_argument("--file", required=True)
-    validate_cmd.add_argument("--base-iri", default=None)
+    validate_cmd.add_argument("--base-iri", default=DEFAULT_BASE_IRI)
 
     export_cmd = commands.add_parser("export", help="write the store as N-Triples")
     export_cmd.add_argument("--config", required=True)
     export_cmd.add_argument("--out", required=True)
     return parser
+
+
+def _period(text: str) -> str:
+    try:
+        period_bounds(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
+def _restored(args) -> Pipeline:
+    """A pipeline holding the state persisted under the config's persistence_dir."""
+    pipeline = Pipeline(load_config(args.config))
+    persistence = pipeline.config.persistence_dir
+    if persistence is None:
+        raise SemDroughtError(f"config has no persistence_dir; nothing to {args.command}")
+    pipeline.restore(persistence)
+    return pipeline
 
 
 def _cmd_serve(args) -> int:
@@ -75,21 +92,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if args.speed < 0:
-        raise _UsageError("--speed must be non-negative")
-    pipeline = Pipeline(load_config(args.config))
-    summary = pipeline.replay(args.input, speed=args.speed)
+    summary = Pipeline(load_config(args.config)).replay(args.input)
     print(json.dumps(summary.to_json_dict(), indent=2))
     return 0
 
 
 def _cmd_forecast(args) -> int:
-    pipeline = Pipeline(load_config(args.config))
-    persistence = pipeline.config.persistence_dir
-    if persistence is None:
-        raise SemDroughtError("config has no persistence_dir; nothing to forecast from")
-    pipeline.restore(persistence)
-    bulletin = pipeline.bulletin(args.region, args.period)
+    bulletin = _restored(args).bulletin(args.region, args.period)
     print(json.dumps(bulletin.to_json_dict(), indent=2))
     return 0
 
@@ -99,10 +108,9 @@ def _cmd_validate_rules(args) -> int:
     if not path.is_file():
         print(f"rule file not found: {path}", file=sys.stderr)
         return USAGE_EXIT
-    ns = Namespaces(args.base_iri) if args.base_iri else Namespaces()
     try:
-        rules = parse_ruleset(path.read_text(encoding="utf-8"), ns)
-    except SemDroughtError as exc:
+        rules = parse_ruleset(path.read_text(encoding="utf-8"), Namespaces(args.base_iri))
+    except (SemDroughtError, UnicodeDecodeError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return USAGE_EXIT
     print(f"ok: {len(rules)} rule(s)")
@@ -110,12 +118,7 @@ def _cmd_validate_rules(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    pipeline = Pipeline(load_config(args.config))
-    persistence = pipeline.config.persistence_dir
-    if persistence is None:
-        raise SemDroughtError("config has no persistence_dir; nothing to export")
-    pipeline.restore(persistence)
-    Path(args.out).write_text(pipeline.serialize(), encoding="utf-8")
+    Path(args.out).write_text(_restored(args).serialize(), encoding="utf-8")
     return 0
 
 
@@ -137,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     try:
         return _COMMANDS[args.command](args)
-    except (NotFoundError, InvalidConfigError, _UsageError) as exc:
+    except (NotFoundError, InvalidConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SemDroughtError as exc:

@@ -2,8 +2,15 @@
 
 POST /observations and POST /ik feed the same pipeline path as file
 replay; GET /forecast, /rules and /health serve read snapshots. Any JSON
-display client (billboard, phone app) can sit on this contract, and gets
-a JSON 500 for any exception no route maps to a status.
+display client (billboard, phone app) can sit on this contract.
+
+A route returns its 200 payload or raises; ``ApiHandler._answer`` sends
+either. Each method has one table from error class to status, because the
+same error can mean different things: an unknown region is the missing
+resource of a GET (404) but a bad field of a POST (400). An error gets
+``{"error": <code>, "detail": <message>}`` (plus ``term`` for an unaligned
+term), and an exception the table does not map gets a JSON 500
+``{"error": "Internal", ...}`` on a connection that stays usable.
 """
 
 import json
@@ -14,6 +21,7 @@ from ..cep.engine import OutOfOrderError
 from ..cep.rules import rule_to_text
 from ..errors import SemDroughtError
 from ..forecast import InsufficientBaselineError, NoDataError
+from .config import NotFoundError
 from .pipeline import Pipeline, UnknownRegionError
 
 MAX_BODY_BYTES = 1 << 20    # a longer request body is refused unread
@@ -25,6 +33,13 @@ class BadRequestError(SemDroughtError):
 
 class PayloadTooLargeError(SemDroughtError):
     code = "PayloadTooLarge"
+
+
+# (error class, status) per method, the first match wins
+GET_STATUSES = ((BadRequestError, 400), (UnknownRegionError, 404), (NoDataError, 404),
+                (NotFoundError, 404), (InsufficientBaselineError, 503))
+POST_STATUSES = ((OutOfOrderError, 409), (PayloadTooLargeError, 413), (NotFoundError, 404),
+                 (SemDroughtError, 400))
 
 
 class ApiServer(ThreadingHTTPServer):
@@ -50,13 +65,6 @@ class ApiHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, exc: Exception) -> None:
-        payload = {"error": getattr(exc, "code", "Error"), "detail": str(exc)}
-        term = getattr(exc, "term", "")
-        if term:
-            payload["term"] = term
-        self._send(status, payload)
-
     def _read_body(self) -> str:
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal():
@@ -71,69 +79,56 @@ class ApiHandler(BaseHTTPRequestHandler):
             raise BadRequestError(f"body is not UTF-8: {exc}")
 
     def do_GET(self):
-        self._answer(self._get)
+        self._answer(self._get, GET_STATUSES)
 
     def do_POST(self):
-        self._answer(self._post)
+        self._answer(self._post, POST_STATUSES)
 
-    def _answer(self, route) -> None:
+    def _answer(self, route, statuses) -> None:
+        """The only reply: ``route()``'s payload with 200, or its error with
+        the status ``statuses`` maps it to, or a JSON 500."""
         try:
-            route()
-        except Exception as exc:    # the connection stays usable for the next request
-            self.server.handle_error(self.request, self.client_address)  # traceback to stderr
-            self._send(500, {"error": "Internal", "detail": f"{type(exc).__name__}: {exc}"})
+            status, payload = 200, route()
+        except Exception as exc:
+            status = next((mapped for cls, mapped in statuses if isinstance(exc, cls)), 500)
+            if status == 500:   # the connection stays usable for the next request
+                self.server.handle_error(self.request, self.client_address)  # traceback to stderr
+                payload = {"error": "Internal", "detail": f"{type(exc).__name__}: {exc}"}
+            else:
+                payload = {"error": exc.code, "detail": str(exc)}
+                if getattr(exc, "term", ""):
+                    payload["term"] = exc.term
+        self._send(status, payload)
 
-    def _get(self):
+    def _get(self) -> dict:
         url = urlparse(self.path)
         pipeline = self.server.pipeline
         if url.path == "/health":
-            self._send(200, {"status": "ok", "events": pipeline.event_count})
-            return
+            return {"status": "ok", "events": pipeline.event_count}
         if url.path == "/rules":
-            self._send(200, {"rules": [rule_to_text(r) for r in pipeline.rules]})
-            return
+            return {"rules": [rule_to_text(r) for r in pipeline.rules]}
         if url.path == "/forecast":
             query = parse_qs(url.query)
             region = query.get("region", [None])[0]
-            period = query.get("period", [None])[0]
             if not region:
-                self._send(400, {"error": "BadRequest", "detail": "region is required"})
-                return
+                raise BadRequestError("region is required")
             try:
-                bulletin = pipeline.bulletin(region, period)
-            except (UnknownRegionError, NoDataError) as exc:
-                self._error(404, exc)
-            except InsufficientBaselineError as exc:
-                self._error(503, exc)
-            except ValueError as exc:
-                self._send(400, {"error": "BadRequest", "detail": str(exc)})
-            else:
-                self._send(200, bulletin.to_json_dict())
-            return
-        self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
+                bulletin = pipeline.bulletin(region, query.get("period", [None])[0])
+            except ValueError as exc:   # the period is not YYYY-MM
+                raise BadRequestError(str(exc)) from exc
+            return bulletin.to_json_dict()
+        raise NotFoundError(f"no route {url.path}")
 
-    def _post(self):
+    def _post(self) -> dict:
         url = urlparse(self.path)
         pipeline = self.server.pipeline
-        try:
-            body = self._read_body()    # on every route, so the next request starts after it
-            if url.path == "/observations":
-                obs, firings = pipeline.ingest_payload("json", body)
-                reply = {"accepted": True, "id": obs.id.value, "firings": len(firings)}
-            elif url.path == "/ik":
-                firings = pipeline.ingest_ik_json(body)
-                reply = {"accepted": True, "firings": len(firings)}
-            else:
-                self._send(404, {"error": "NotFound", "detail": f"no route {url.path}"})
-                return
-        except OutOfOrderError as exc:
-            self._error(409, exc)
-        except PayloadTooLargeError as exc:
-            self._error(413, exc)
-        except SemDroughtError as exc:
-            self._error(400, exc)
-        else:
-            self._send(200, reply)
+        body = self._read_body()    # on every route, so the next request starts after it
+        if url.path == "/observations":
+            obs, firings = pipeline.ingest_payload("json", body)
+            return {"accepted": True, "id": obs.id.value, "firings": len(firings)}
+        if url.path == "/ik":
+            return {"accepted": True, "firings": len(pipeline.ingest_ik_json(body))}
+        raise NotFoundError(f"no route {url.path}")
 
 
 def serve(pipeline: Pipeline, host: str | None = None, port: int | None = None) -> ApiServer:

@@ -12,13 +12,11 @@ them for ``export`` and for the ``store`` view.
 import json
 import os
 import threading
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 from ..cep.engine import Engine, Event, Firing
-from ..cep.rules import CepRule, parse_ruleset
 from ..errors import SemDroughtError
 from ..forecast import (
     ClimatologyEntry,
@@ -28,30 +26,22 @@ from ..forecast import (
     make_bulletin,
     period_bounds,
 )
-from ..ik import IkObservation, IkRegistry, compile_indicator_rules
-from ..ingest import (
-    AlignmentTable,
-    IngestError,
-    canonicalize,
-    parse_payload,
-    parse_timestamp,
-)
+from ..ik import IkObservation, IkRegistry
+from ..ingest import IngestError, canonicalize, parse_payload, parse_timestamp
 from ..model import (
     OBSERVATION_SHAPE,
     RDF_NS,
     CanonicalObservation,
     Datatype,
     Iri,
-    Namespaces,
     Triple,
-    Vocabulary,
     format_utc_instant,
     observation_to_triples,
     parse_utc_instant,
     triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
 )
 from ..store import ParseError, TripleStore, builtin_rules
-from .config import Config, InvalidConfigError
+from .config import Config
 
 OBSERVATION_LOG_FILE = "observations.jsonl"
 FACTS_FILE = "facts.nt"
@@ -89,15 +79,11 @@ class Pipeline:
 
     def __init__(self, config: Config):
         self.config = config
-        self.ns = Namespaces(config.base_iri)
-        self.vocabulary = Vocabulary(self.ns)
-        self.table = AlignmentTable.from_json(
-            config.alignment_table_path.read_text(encoding="utf-8"), self.vocabulary
-        )
-        self.ik = IkRegistry.from_json(
-            config.indicators_path.read_text(encoding="utf-8")
-        )
-        self.rules = self._load_rules()
+        self.table = config.table
+        self.vocabulary = self.table.vocabulary
+        self.ns = self.vocabulary.ns
+        self.ik = IkRegistry(config.indicators)
+        self.rules = config.rules
         # triples beyond the observations: the ontology, any other asserted
         # facts a restore loads, and what saturation derives from them
         self._facts = TripleStore()
@@ -106,10 +92,6 @@ class Pipeline:
         self._view: TripleStore | None = None
 
         self._engines = {region: Engine(self.rules) for region in config.regions}
-        self._region_of_sensor: dict[str, str] = {}
-        for region, sensors in config.regions.items():
-            for raw_id in sensors:
-                self._region_of_sensor[self.table.sensor(raw_id).iri.value] = region
         # the observation log is the state; each region's first _saturated[region]
         # entries carry their super-type triples
         self._observations: dict[str, list[CanonicalObservation]] = {
@@ -119,24 +101,6 @@ class Pipeline:
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
         self.lock = threading.RLock()
-
-    def _load_rules(self) -> list[CepRule]:
-        try:
-            rules = parse_ruleset(
-                self.config.rules_path.read_text(encoding="utf-8"), self.ns
-            )
-        except SemDroughtError as exc:
-            raise InvalidConfigError("rules", str(exc))
-        if self.config.compile_ik_rules:
-            compiled = compile_indicator_rules(
-                self.ik.indicators,
-                k=self.config.ik_rule_count,
-                window_seconds=self.config.ik_rule_window_days * 86400,
-                ns=self.ns,
-            )
-            existing = {r.name for r in rules}
-            rules.extend(r for r in compiled if r.name not in existing)
-        return rules
 
     # -- ingestion ------------------------------------------------------------
 
@@ -150,7 +114,7 @@ class Pipeline:
         return tuple(self._firings)
 
     def region_of(self, sensor: Iri) -> str:
-        region = self._region_of_sensor.get(sensor.value)
+        region = self.config.sensor_regions.get(sensor.value)
         if region is None:
             raise UnknownRegionError(f"sensor {sensor.value} belongs to no region")
         return region
@@ -213,7 +177,7 @@ class Pipeline:
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(self, dataset_path: str | Path, speed: float = 0.0) -> ReplaySummary:
+    def replay(self, dataset_path: str | Path) -> ReplaySummary:
         """Feed a ``format|payload`` line file through the ingestion path.
 
         Per-line failures are tallied, never fatal. At end of input the
@@ -221,7 +185,6 @@ class Pipeline:
         and state persists if a persistence directory is configured.
         """
         summary = ReplaySummary()
-        previous_ts: int | None = None
         with open(dataset_path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.rstrip("\n")
@@ -234,18 +197,13 @@ class Pipeline:
                 try:
                     if tag == "ik":
                         firings = self.ingest_ik_json(payload)
-                        event_ts = self._last_ik_timestamp()
                     else:
-                        obs, firings = self.ingest_payload(tag, payload)
-                        event_ts = obs.timestamp
+                        _, firings = self.ingest_payload(tag, payload)
                 except SemDroughtError as exc:
                     summary.reject(exc.code)
                     continue
                 summary.parsed += 1
                 summary.firings += len(firings)
-                if speed > 0 and previous_ts is not None and event_ts > previous_ts:
-                    time.sleep((event_ts - previous_ts) / speed)
-                previous_ts = event_ts
         summary.firings += self.flush_engines()
         with self.lock:
             # what this derives for the logged observations, their super-types,
@@ -257,10 +215,6 @@ class Pipeline:
         if self.config.persistence_dir is not None:
             self.persist(self.config.persistence_dir)
         return summary
-
-    def _last_ik_timestamp(self) -> int | None:
-        log = self.ik.observations
-        return log[-1].timestamp if log else None
 
     # -- forecasting ----------------------------------------------------------
 
@@ -391,9 +345,7 @@ class Pipeline:
         except (UnicodeDecodeError, ParseError) as exc:
             raise SemDroughtError(f"{facts_path}: {exc}") from exc
         facts.saturate(builtin_rules(self.ns))
-        ik = IkRegistry()
-        for indicator in self.ik.indicators:
-            ik.register_indicator(indicator)
+        ik = IkRegistry(self.config.indicators)
         _read_jsonl(directory / IK_LOG_FILE,
                     lambda payload: ik.record_observation(_ik_observation(payload)))
         firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)

@@ -1,9 +1,10 @@
 """Malformed input at the service's edges: HTTP request bodies and routes,
-config files, indigenous-knowledge reports dated before the epoch or out of
-order, damaged, outdated or repeatedly restored persisted state, and a
-handler that fails unexpectedly. Each gets a typed error and a defined HTTP
-status or CLI exit code, never a dropped connection, a traceback or a
-changed state."""
+config files and the files they name, forecast periods, indigenous-knowledge
+reports dated before the epoch or out of order, damaged, outdated or
+repeatedly restored persisted state, and a handler that fails unexpectedly.
+Each gets a typed error and a defined HTTP status or CLI exit code, never a
+dropped connection, a traceback or a changed state. One table pins the
+exact status and reply of every error each HTTP route answers with."""
 
 import http.client
 import json
@@ -20,6 +21,7 @@ from semdrought.service.httpd import MAX_BODY_BYTES
 
 from live_server import running_server
 
+INDICATOR = scenario.INDICATORS[0]
 PRE_EPOCH_IK = {"indicator_id": "ants_nest_high", "timestamp": "1969-12-01T00:00:00Z",
                 "region": "r1", "confidence": 1.0}
 
@@ -39,15 +41,16 @@ def server(scenario_dir):
         yield port, pipeline
 
 
-def raw_post(port: int, path: str, body: bytes, length: bytes | None = None):
-    """(status, JSON reply) of a POST sent over a raw socket, with ``length``
-    as its Content-Length (the body's own length by default)."""
-    if length is None:
-        length = str(len(body)).encode()
-    request = (b"POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\r\n"
-               % (path.encode(), length)) + body
+def raw_request(port: int, method: str, path: str, body: bytes | None = None,
+                length: bytes | None = None):
+    """(status, JSON reply) of a request sent over a raw socket; a request
+    with a body gets ``length`` as its Content-Length (the body's own length
+    by default)."""
+    request = b"%s %s HTTP/1.1\r\nHost: localhost\r\n" % (method.encode(), path.encode())
+    if body is not None:
+        request += b"Content-Length: %s\r\n" % (length or str(len(body)).encode())
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(request)
+        sock.sendall(request + b"\r\n" + (body or b""))
         response = http.client.HTTPResponse(sock)
         response.begin()
         return response.status, json.loads(response.read())
@@ -66,7 +69,7 @@ class TestHttpBodies:
     def test_bad_body_gets_400(self, server, route, case):
         port, pipeline = server
         length, body = BAD_BODIES[case]
-        status, reply = raw_post(port, route, body, length)
+        status, reply = raw_request(port, "POST", route, body, length)
         assert status == 400
         assert reply["error"] == "BadRequest"
         assert pipeline.event_count == 0
@@ -86,23 +89,205 @@ class TestHttpBodies:
         assert pipeline.event_count == 0
 
 
+def ik_report(**fields) -> bytes:
+    return json.dumps({"indicator_id": "sifennefene_worms_scarce", "region": "r1",
+                       "timestamp": "2020-06-20T00:00:00Z", "confidence": 0.9,
+                       **fields}).encode()
+
+
+def reading(**fields) -> bytes:
+    return json.dumps({"sensor_id": "s1", "property": "rain", "value": 2.5, "unit": "mm",
+                       "timestamp": "2020-06-10T00:00:00Z", **fields}).encode()
+
+
+def error(code: str, detail: str, **extra) -> dict:
+    return {"error": code, "detail": detail, **extra}
+
+
+RULE_TEXTS = [
+    "RULE dry_spell WHEN AVG(<http://example.org/semdrought#precipitation>) < 2 AND "
+    "SLOPE(<http://example.org/semdrought#soilMoisture>) < 0 WITHIN 30d STEP 5d "
+    "EMIT DrySpell SEVERITY 0.6",
+    "RULE heat_spike WHEN <http://example.org/semdrought#airTemperature> > 40 WITHIN 1d "
+    "EMIT HeatSpike SEVERITY 0.2",
+    "RULE ik_drier WHEN COUNT(IkDrierObservation) >= 3 WITHIN 90d EMIT IkDrierSignal "
+    "SEVERITY 0.4",
+    "RULE ik_wetter WHEN COUNT(IkWetterObservation) >= 3 WITHIN 90d EMIT IkWetterSignal "
+    "SEVERITY 0.4",
+]
+NOT_UTF8 = ("body is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 12: "
+            "invalid start byte")
+BAD_LENGTH = error("BadRequest", "Content-Length must be a non-negative integer")
+
+# (method, path, body) -> (status, JSON reply) of every status each route
+# answers with, but the 500 of TestUnexpectedHandlerError; a (Content-Length,
+# bytes) body is sent with that header
+HTTP_STATUS_TABLE = [
+    (("GET", "/health", None), (200, {"status": "ok", "events": 4})),
+    (("GET", "/rules", None), (200, {"rules": RULE_TEXTS})),
+    (("GET", "/forecast", None), (400, error("BadRequest", "region is required"))),
+    (("GET", "/forecast?period=2020-06", None),
+     (400, error("BadRequest", "region is required"))),
+    (("GET", "/forecast?region=r1&period=2022-13", None),
+     (400, error("BadRequest", "not a YYYY-MM period: '2022-13'"))),
+    (("GET", "/forecast?region=r1&period=garbage", None),
+     (400, error("BadRequest", "not a YYYY-MM period: 'garbage'"))),
+    (("GET", "/forecast?region=atlantis&period=2020-06", None),
+     (404, error("UnknownRegion", "unknown region: atlantis"))),
+    (("GET", "/forecast?region=r1&period=2030-01", None),
+     (404, error("NoData", "no observations for r1 in 2030-01"))),
+    (("GET", "/forecast?region=r1&period=2020-06", None),
+     (503, error("InsufficientBaseline", "baseline unusable for precipitation in month 6"))),
+    (("GET", "/forecast?region=r1", None),
+     (503, error("InsufficientBaseline", "baseline unusable for precipitation in month 6"))),
+    (("GET", "/nope", None), (404, error("NotFound", "no route /nope"))),
+    (("POST", "/observations", reading()),
+     (200, {"accepted": True, "id": "http://example.org/semdrought#obs/s1/1591747200",
+            "firings": 0})),
+    (("POST", "/observations", reading(property="frogcount")),
+     (400, error("UnknownTerm", "no alignment entry for property 'frogcount'",
+                 term="frogcount"))),
+    (("POST", "/observations", reading(timestamp="2020-06-01T00:00:00Z")),
+     (409, error("OutOfOrder", "timestamp 1590969600 regresses below 1591336800"))),
+    (("POST", "/observations", reading(timestamp="2020-06-03T00:00:00Z")),
+     (400, error("Duplicate", "observation already ingested: "
+                 "http://example.org/semdrought#obs/s1/1591142400"))),
+    (("POST", "/observations", reading(sensor_id="s9", lat=-29.0, lon=26.0)),
+     (400, error("UnknownRegion",
+                 "sensor http://example.org/semdrought#sensor/s9 belongs to no region"))),
+    (("POST", "/observations", b"{not json"),
+     (400, error("Malformed", "bad JSON: Expecting property name enclosed in double quotes "
+                 "at position 1"))),
+    (("POST", "/observations", (b"ten", b"{}")), (400, BAD_LENGTH)),
+    (("POST", "/observations", (b"-1", b"{}")), (400, BAD_LENGTH)),
+    (("POST", "/observations", b'{"region": "\xff"}'), (400, error("BadRequest", NOT_UTF8))),
+    (("POST", "/observations", (b"%d" % (MAX_BODY_BYTES + 1), b"{}")),
+     (413, error("PayloadTooLarge", "body exceeds 1048576 bytes"))),
+    (("POST", "/ik", ik_report()), (200, {"accepted": True, "firings": 0})),
+    (("POST", "/ik", ik_report(region="atlantis")),
+     (400, error("UnknownRegion", "unknown region: atlantis"))),
+    (("POST", "/ik", ik_report(indicator_id="frogs")),
+     (400, error("UnknownIndicator", "unknown indicator: frogs"))),
+    (("POST", "/ik", ik_report(timestamp="2020-06-01T00:00:00Z")),
+     (409, error("OutOfOrder", "timestamp 1590969600 regresses below 1591336800"))),
+    (("POST", "/ik", ik_report(timestamp="1969-12-01T00:00:00Z")),
+     (400, error("BadTimestamp", "timestamp before epoch: '1969-12-01T00:00:00Z'"))),
+    (("POST", "/ik", ik_report(confidence=10 ** 400)),
+     (400, error("IngestError",
+                 "bad indigenous-knowledge payload: int too large to convert to float"))),
+    (("POST", "/ik", ik_report(timestamp="2020-01-20T00:00:00Z")),
+     (400, error("OutOfSeason",
+                 "indicator sifennefene_worms_scarce is out of season in month 1"))),
+    (("POST", "/nope", b'{"region": "r1"}'), (404, error("NotFound", "no route /nope"))),
+]
+
+
+@pytest.fixture(scope="module")
+def unusable_baseline_config(tmp_path_factory):
+    """The scenario's config with a baseline no month can fill."""
+    target = tmp_path_factory.mktemp("unusable-baseline")
+    scenario.generate_scenario(target)
+    path = scenario.config_path(target)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "min_baseline_count": 1000}))
+    return load_config(path)
+
+
+class TestHttpStatusTable:
+    @pytest.mark.parametrize("sent, expected", HTTP_STATUS_TABLE,
+                             ids=[f"{m} {p} {i}" for i, ((m, p, _), _)
+                                  in enumerate(HTTP_STATUS_TABLE)])
+    def test_exact_reply(self, unusable_baseline_config, sent, expected):
+        """Over a pipeline holding one reading per sensor on 2020-06-03 and an
+        indicator report on 2020-06-05."""
+        pipeline = Pipeline(unusable_baseline_config)
+        for line in ("s1,rain,5,mm,2020-06-03T00:00:00Z,,",
+                     "s2,soil_hum,20,%,2020-06-03T00:00:00Z,,",
+                     "s3,temp,25,C,2020-06-03T00:00:00Z,,"):
+            pipeline.ingest_payload("csv", line)
+        pipeline.ingest_ik_json(ik_report(timestamp="2020-06-05T06:00:00Z").decode())
+        method, path, body = sent
+        length, body = body if isinstance(body, tuple) else (None, body)
+        with running_server(pipeline) as port:
+            assert raw_request(port, method, path, body, length) == expected
+
+    def test_month_past_the_last_year_is_not_a_period(self, unusable_baseline_config):
+        with running_server(Pipeline(unusable_baseline_config)) as port:
+            assert raw_request(port, "GET", "/forecast?region=r1&period=9999-12") == (
+                400, error("BadRequest", "not a YYYY-MM period: '9999-12'"))
+
+
+# (config update, the field its configuration error names)
+CONFIG_EDITS = [
+    ({"http": {"port": "x"}}, "http.port"), ({"http": {"port": None}}, "http.port"),
+    ({"http": {"port": 70000}}, "http.port"), ({"http": {"port": True}}, "http.port"),
+    ({"http": {"host": 5}}, "http.host"), ({"http": {"host": ""}}, "http.host"),
+    ({"persistence_dir": 5}, "persistence_dir"), ({"persistence_dir": ""}, "persistence_dir"),
+    ({"base_iri": 5}, "base_iri"), ({"base_iri": "foo"}, "base_iri"),
+    ({"base_iri": "http://x y/"}, "base_iri"),
+    ({"regions": {"r1": ["s1", "s2", "s3"], "r2": ["S1 "]}}, "regions"),
+    ({"persistance_dir": "state"}, "persistance_dir"),
+    ({"compile_ik_rules": False}, "compile_ik_rules"),
+]
+
+
 class TestMalformedConfig:
-    @pytest.mark.parametrize("edit", [
-        {"http": {"port": "x"}}, {"http": {"port": None}}, {"http": {"port": 70000}},
-        {"http": {"port": True}}, {"http": {"host": 5}}, {"http": {"host": ""}},
-        {"persistence_dir": 5}, {"persistence_dir": ""}, {"base_iri": 5},
-    ], ids=repr)
-    def test_exits_1(self, scenario_dir, tmp_path, capsys, edit):
+    def replay_exit(self, scenario_dir, tmp_path, capsys, edit=None, sibling=None):
+        """The exit code and stderr of a replay under a copy of the scenario's
+        config updated with ``edit``; ``sibling``, a (file name, content) pair,
+        replaces one of its files with bytes or with a JSON document."""
         config = json.loads(scenario.config_path(scenario_dir).read_text())
-        config.update(edit)
+        config.update(edit or {})
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         for name in ("alignment.json", "indicators.json", "detection.rules"):
             shutil.copy(scenario_dir / name, tmp_path / name)
+        if sibling is not None:
+            name, content = sibling
+            if not isinstance(content, bytes):
+                content = json.dumps(content).encode()
+            (tmp_path / name).write_bytes(content)
         capsys.readouterr()
-        assert cli_main(["replay", "--config", str(path),
-                         "--input", str(scenario.dataset_path(scenario_dir))]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        code = cli_main(["replay", "--config", str(path),
+                         "--input", str(scenario.dataset_path(scenario_dir))])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", CONFIG_EDITS,
+                             ids=[repr(edit) for edit, _ in CONFIG_EDITS])
+    def test_exits_1(self, scenario_dir, tmp_path, capsys, edit, field):
+        code, err = self.replay_exit(scenario_dir, tmp_path, capsys, edit)
+        assert code == 1
+        assert f"configuration error: config field {field}: " in err
+
+    @pytest.mark.parametrize("field, file_name, content", [
+        ("indicators", "indicators.json", [{**INDICATOR, "kind": "bogus"}]),
+        ("indicators", "indicators.json", {"items": [INDICATOR]}),
+        ("indicators", "indicators.json",
+         [{key: value for key, value in INDICATOR.items() if key != "kind"}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "weight": 5}]),
+        ("alignment_table", "alignment.json",
+         {**scenario.ALIGNMENT, "terms": {"rain": "ex:frogs"}}),
+        ("alignment_table", "alignment.json",
+         {**scenario.ALIGNMENT, "units": {"mm": {"scale": 1.0}}}),
+        ("alignment_table", "alignment.json", [scenario.ALIGNMENT]),
+        ("alignment_table", "alignment.json", b'{"terms": {"\xff": "ex:precipitation"}}'),
+        ("rules", "detection.rules", b"\xff"),
+    ], ids=["bogus_kind", "indicators_not_array", "missing_kind", "weight_out_of_range",
+            "non_canonical_property", "unit_without_iri", "alignment_array",
+            "alignment_not_utf8", "rules_not_utf8"])
+    def test_damaged_sibling_exits_1(self, scenario_dir, tmp_path, capsys,
+                                     field, file_name, content):
+        code, err = self.replay_exit(scenario_dir, tmp_path, capsys,
+                                     sibling=(file_name, content))
+        assert code == 1
+        assert f"configuration error: config field {field}: {file_name}: " in err
+
+
+class TestBadBaseIriForRules:
+    def test_validate_rules_exits_1(self, scenario_dir, capsys):
+        code = cli_main(["validate-rules", "--file", str(scenario_dir / "detection.rules"),
+                         "--base-iri", "nope"])
+        assert code == 1
+        assert "base IRI needs a scheme" in capsys.readouterr().err
 
 
 class TestUnknownRoute:
@@ -128,10 +313,10 @@ class TestOutOfOrderIkReport:
         port, pipeline = server
         report = {"indicator_id": "sifennefene_worms_scarce", "region": "r1",
                   "confidence": 0.9}
-        status, _ = raw_post(port, "/ik", json.dumps(
+        status, _ = raw_request(port, "POST", "/ik", json.dumps(
             {**report, "timestamp": "2020-06-01T00:00:00Z"}).encode())
         assert status == 200
-        status, reply = raw_post(port, "/ik", json.dumps(
+        status, reply = raw_request(port, "POST", "/ik", json.dumps(
             {**report, "timestamp": "2020-05-01T00:00:00Z"}).encode())
         assert status == 409
         assert reply["error"] == "OutOfOrder"
@@ -144,7 +329,7 @@ class TestOversizedIkConfidence:
         port, pipeline = server
         body = ('{"indicator_id": "ants_nest_high", "timestamp": "2020-06-01T00:00:00Z", '
                 '"region": "r1", "confidence": 1' + "0" * 400 + "}")
-        status, reply = raw_post(port, "/ik", body.encode())
+        status, reply = raw_request(port, "POST", "/ik", body.encode())
         assert status == 400
         assert reply["error"] == "IngestError"
         assert pipeline.ik.observations == ()
@@ -189,7 +374,7 @@ class TestPreEpochIkReport:
 
     def test_post_gets_400(self, server):
         port, pipeline = server
-        status, reply = raw_post(port, "/ik", json.dumps(PRE_EPOCH_IK).encode())
+        status, reply = raw_request(port, "POST", "/ik", json.dumps(PRE_EPOCH_IK).encode())
         assert status == 400
         assert reply["error"] == "BadTimestamp"
         assert pipeline.ik.observations == ()
@@ -254,6 +439,16 @@ class TestDamagedState:
         assert err.count(reported) == 2
         if file_name.endswith(".jsonl"):                # a bad row names its line
             assert re.search(rf"line \d+: \S*{re.escape(file_name)}: ", err)
+
+
+class TestBadForecastPeriod:
+    @pytest.mark.parametrize("period", ["2022-13", "garbage", "9999-12"])
+    def test_exits_1(self, persisted, capsys, period):
+        capsys.readouterr()
+        assert cli_main(["forecast", "--config", str(scenario.config_path(persisted)),
+                         "--region", "r1", "--period", period]) == 1
+        assert (f"usage error: argument --period: not a YYYY-MM period: '{period}'"
+                in capsys.readouterr().err)
 
 
 class TestOutdatedState:

@@ -365,8 +365,7 @@ class TestCli:
         scenario.generate_scenario(target)
         config = str(scenario.config_path(target))
         code = cli_main(["replay", "--config", config,
-                         "--input", str(scenario.dataset_path(target)),
-                         "--speed", "0"])
+                         "--input", str(scenario.dataset_path(target))])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         manifest = json.loads((target / "manifest.json").read_text())
