@@ -12,16 +12,20 @@ Semantics pinned here:
   before the last event seen. A window covers (b - length, b].
 * Events a firing emits are re-injected at the window end and become
   visible to later boundaries only (one cascade level per timestamp).
-* The engine holds one time-ordered list per event kind that some rule's
-  pattern names, and finds a window in it by bisection; events of other
-  kinds are not held. An emitted event can be later than events pushed
-  after it; each is placed after every held event not later than it, so
-  events of one instant keep their arrival order.
+* The engine holds, per event kind that some rule's pattern names,
+  time-ordered parallel columns of timestamps, events and values, and
+  finds a window in them by bisection; events of other kinds are not
+  held. An emitted event can be later than events pushed after it; each
+  is placed after every held event not later than it, so events of one
+  instant keep their arrival order.
+* Each rule's pattern is compiled once into a truth closure over those
+  columns; a rule's evidence is built only when it fires.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ..errors import SemDroughtError
 from .rules import (
@@ -71,11 +75,10 @@ class Firing:
     evidence: tuple[Event, ...] = field(default=(), compare=False)
 
 
-def window_aggregate(points: list[tuple[int, float]], fn: str) -> float:
-    """AVG/MIN/MAX/SUM/COUNT over (timestamp, value) pairs."""
+def window_aggregate(values: list[float], fn: str) -> float:
+    """AVG/MIN/MAX/SUM/COUNT over a window's values."""
     if fn == "COUNT":
-        return float(len(points))
-    values = [v for _, v in points]
+        return float(len(values))
     if fn == "SUM":
         return math.fsum(values)
     if not values:
@@ -89,12 +92,11 @@ def window_aggregate(points: list[tuple[int, float]], fn: str) -> float:
     raise ValueError(f"unknown aggregate {fn!r}")
 
 
-def slope(points: list[tuple[int, float]]) -> float:
-    """Least-squares slope in value units per day."""
-    if len(points) < 2 or len({t for t, _ in points}) < 2:
+def slope(times: list[int], values: list[float]) -> float:
+    """Least-squares slope in value units per day of values at ``times``."""
+    if len(set(times)) < 2:
         raise DegenerateSlopeError("slope needs two points with distinct times")
-    days = [t / SECONDS_PER_DAY for t, _ in points]
-    values = [v for _, v in points]
+    days = [t / SECONDS_PER_DAY for t in times]
     t_mean = math.fsum(days) / len(days)
     v_mean = math.fsum(values) / len(values)
     numerator = math.fsum((t - t_mean) * (v - v_mean) for t, v in zip(days, values))
@@ -116,68 +118,92 @@ def _sequence_pairs(first: list[Event], second: list[Event]) -> list[tuple[Event
     return pairs
 
 
-def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]:
-    """Truth value plus contributing events; EmptyWindowError escapes to the
-    rule level and makes the whole rule false for this window."""
-    if isinstance(node, Threshold):
-        compare = COMPARATORS[node.cmp]
-        hits = [e for e in by_kind.get(node.kind, ())
-                if e.value is not None and compare(e.value, node.constant)]
-        return bool(hits), hits
-    if isinstance(node, Aggregate):
-        events = by_kind.get(node.kind, [])
-        if node.fn == "COUNT":
-            result = float(len(events))
-        else:
-            result = window_aggregate(
-                [(e.timestamp, e.value) for e in events if e.value is not None], node.fn
-            )
-        return COMPARATORS[node.cmp](result, node.constant), list(events)
-    if isinstance(node, Trend):
-        points = [(e.timestamp, e.value) for e in by_kind.get(node.kind, ())
-                  if e.value is not None]
-        try:
-            value = slope(points)
-        except DegenerateSlopeError:
-            return False, []
-        return COMPARATORS[node.cmp](value, node.constant), list(by_kind.get(node.kind, ()))
-    if isinstance(node, Seq):
-        pairs = _sequence_pairs(by_kind.get(node.first, []), by_kind.get(node.second, []))
-        return bool(pairs), [e for pair in pairs for e in pair]
-    if isinstance(node, Absent):
-        return not by_kind.get(node.kind), []
-    if isinstance(node, Not):
-        truth, _ = _evaluate(node.child, by_kind)
-        return not truth, []
-    if isinstance(node, And):
-        evidence: list[Event] = []
-        verdict = True
-        for child in node.children:
-            truth, contribution = _evaluate(child, by_kind)
-            verdict = verdict and truth
-            evidence.extend(contribution)
-        return verdict, evidence if verdict else []
-    if isinstance(node, Or):
-        evidence = []
-        verdict = False
-        for child in node.children:
-            truth, contribution = _evaluate(child, by_kind)
-            if truth:
-                verdict = True
-                evidence.extend(contribution)
-        return verdict, evidence
-    raise TypeError(f"not a pattern node: {node!r}")
+def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
+    """``(truth, evidence)`` closures of a pattern over the window (start, end].
 
-
-def _pattern_kinds(node) -> set[str]:
-    """The event kinds a pattern reads."""
-    if isinstance(node, Seq):
-        return {node.first, node.second}
-    if isinstance(node, Not):
-        return _pattern_kinds(node.child)
+    ``truth`` may raise EmptyWindowError, which fails the whole rule, so AND
+    and OR run every child, except that a ``decisive`` AND, one whose being
+    false fails the rule (the root or an AND child of one), stops at its
+    first false child. ``evidence`` lists the contributing events of a node
+    known to be true.
+    """
+    no_evidence = lambda start, end: []
     if isinstance(node, (And, Or)):
-        return set().union(*map(_pattern_kinds, node.children))
-    return {node.kind}
+        parts = [_compile(child, held, valueless, decisive and isinstance(node, And))
+                 for child in node.children]
+        if isinstance(node, Or):
+            return ((lambda start, end: any([t(start, end) for t, _ in parts])),
+                    (lambda start, end: [e for t, evidence in parts if t(start, end)
+                                         for e in evidence(start, end)]))
+        every = all if decisive else (lambda verdicts: all(list(verdicts)))
+        return ((lambda start, end: every(t(start, end) for t, _ in parts)),
+                (lambda start, end: [e for _, evidence in parts for e in evidence(start, end)]))
+    if isinstance(node, Not):
+        child, _ = _compile(node.child, held, valueless, False)
+        return (lambda start, end: not child(start, end)), no_evidence
+    if isinstance(node, Seq):
+        first, first_events, _ = held[node.first]
+        second, second_events, _ = held[node.second]
+
+        def seq_truth(start, end):
+            # the first after start and the last second up to end, in order, are in the window
+            lo, hi = bisect_right(first, start), bisect_right(second, end)
+            return lo < len(first) and hi > 0 and first[lo] < second[hi - 1]
+
+        def seq_evidence(start, end):
+            pairs = _sequence_pairs(
+                first_events[bisect_right(first, start):bisect_right(first, end)],
+                second_events[bisect_right(second, start):bisect_right(second, end)])
+            return [e for pair in pairs for e in pair]
+        return seq_truth, seq_evidence
+
+    kind = node.kind
+    times, events, values = held[kind]
+
+    def events_in(start, end):
+        return events[bisect_right(times, start):bisect_right(times, end)]
+
+    def count_in(start, end):
+        return bisect_right(times, end) - bisect_right(times, start)
+
+    def valued_in(start, end):
+        """The window's timestamps and values, valueless events left out."""
+        lo, hi = bisect_right(times, start), bisect_right(times, end)
+        if kind not in valueless:
+            return times[lo:hi], values[lo:hi]
+        kept = [(t, v) for t, v in zip(times[lo:hi], values[lo:hi]) if v is not None]
+        return [t for t, _ in kept], [v for _, v in kept]
+
+    if isinstance(node, Absent):
+        return (lambda start, end: not count_in(start, end)), no_evidence
+    compare, constant = COMPARATORS[node.cmp], node.constant
+    if isinstance(node, Threshold):
+        return ((lambda start, end: any(map(compare, valued_in(start, end)[1], repeat(constant)))),
+                (lambda start, end: [e for e in events_in(start, end)
+                                     if e.value is not None and compare(e.value, constant)]))
+    if isinstance(node, Trend):
+        def trend_truth(start, end):
+            try:
+                return compare(slope(*valued_in(start, end)), constant)
+            except DegenerateSlopeError:
+                return False
+        return trend_truth, events_in
+    if node.fn == "COUNT":
+        return (lambda start, end: compare(float(count_in(start, end)), constant)), events_in
+    fn = node.fn
+    return ((lambda start, end: compare(window_aggregate(valued_in(start, end)[1], fn), constant)),
+            events_in)
+
+
+def _leaf_kinds(node) -> list[str]:
+    """The event kinds a pattern's leaves read, once per read."""
+    if isinstance(node, Seq):
+        return [node.first, node.second]
+    if isinstance(node, Not):
+        return _leaf_kinds(node.child)
+    if isinstance(node, (And, Or)):
+        return [kind for child in node.children for kind in _leaf_kinds(child)]
+    return [node.kind]
 
 
 class Engine:
@@ -191,10 +217,13 @@ class Engine:
             raise ValueError("rule names must be unique within an engine")
         self.rules = sorted(rules, key=lambda r: r.name)
         self._max_length = max((r.window.length for r in rules), default=0)
-        # kind -> (timestamps, events) in time order, for each kind a rule reads
-        self._held: dict[str, tuple[list[int], list[Event]]] = {}
-        self._reads = {r.name: [(kind, self._held.setdefault(kind, ([], [])))
-                                for kind in sorted(_pattern_kinds(r.pattern))] for r in rules}
+        reads = {r.name: _leaf_kinds(r.pattern) for r in rules}
+        # kind -> (timestamps, events, values) in time order, for each kind a rule reads
+        self._held = {kind: ([], [], []) for kinds in reads.values() for kind in kinds}
+        self._valueless: set[str] = set()    # held kinds that have held a valueless event
+        # rule -> (truth, evidence, whether it reads a kind twice and so can list an event twice)
+        self._patterns = {r.name: (*_compile(r.pattern, self._held, self._valueless),
+                                   len(set(reads[r.name])) < len(reads[r.name])) for r in rules}
         self._cursors: dict[str, int] = {}
         self._last_ts = last_timestamp
 
@@ -253,28 +282,32 @@ class Engine:
     def _hold(self, event: Event) -> None:
         held = self._held.get(event.kind)
         if held is not None:
-            times, events = held
+            times, events, values = held
             at = bisect_right(times, event.timestamp)   # after its equals: arrival order
             times.insert(at, event.timestamp)
             events.insert(at, event)
+            values.insert(at, event.value)
+            if event.value is None:
+                self._valueless.add(event.kind)
 
     def _evaluate_rule(self, rule: CepRule, boundary: int) -> Firing | None:
+        truth, evidence, repeats = self._patterns[rule.name]
         start = boundary - rule.window.length
-        by_kind = {kind: events[bisect_right(times, start):bisect_right(times, boundary)]
-                   for kind, (times, events) in self._reads[rule.name]}
         try:
-            truth, evidence = _evaluate(rule.pattern, by_kind)
+            if not truth(start, boundary):
+                return None
         except EmptyWindowError:
             return None
-        if not truth:
-            return None
+        found = evidence(start, boundary)
+        if repeats:     # each event once, where it first contributed
+            found = {id(e): e for e in found}.values()
         emitted = Event(kind=rule.emit, timestamp=boundary,
                         attributes=(("rule", rule.name),))
-        return Firing(rule=rule.name, window_end=boundary, event=emitted,   # each event once
-                      evidence=tuple({id(e): e for e in evidence}.values()))
+        return Firing(rule=rule.name, window_end=boundary, event=emitted,
+                      evidence=tuple(found))
 
     def _prune(self):
         horizon = min(self._cursors.values()) - self._max_length
-        for times, events in self._held.values():
+        for times, events, values in self._held.values():
             cut = bisect_right(times, horizon)
-            del times[:cut], events[:cut]
+            del times[:cut], events[:cut], values[:cut]

@@ -7,7 +7,8 @@ adds the count rules compiled from the indicators, and returns them parsed
 in a ``Config``. A missing file raises NotFoundError. Any other fault
 raises InvalidConfigError naming the field: a value of the wrong type or
 range, a damaged sibling file, a sensor listed under two regions, or a
-top-level key the loader does not read.
+key the loader does not read, at the top level or inside ``weights``,
+``http`` or ``baseline``.
 
 All paths in the file resolve relative to the file's own directory, so a
 config directory can be moved wholesale.
@@ -67,12 +68,16 @@ def load_config(path: str | Path) -> Config:
     if not isinstance(payload, dict):
         raise InvalidConfigError("(file)", "config must be a JSON object")
     base = path.parent
-    # each field is popped as it is read, so what is left was never read
+    # each field, nested ones too, is popped as it is read, so what is left was never read
 
     def nonempty_string(name: str, value) -> str:
         if not isinstance(value, str) or not value:
             raise InvalidConfigError(name, "a non-empty string is required")
         return value
+
+    def unread(section: dict, prefix: str = "") -> None:
+        if section:
+            raise InvalidConfigError(prefix + min(section), "not a config key")
 
     def positive_int(name: str, default: int) -> int:
         value = payload.pop(name, default)
@@ -129,13 +134,14 @@ def load_config(path: str | Path) -> Config:
         raise InvalidConfigError("weights", "expected an object")
     try:
         weights = DviWeights(
-            precipitation=float(weights_raw.get("precipitation", 0.4)),
-            soil_moisture=float(weights_raw.get("soil_moisture", 0.3)),
-            temperature=float(weights_raw.get("temperature", 0.1)),
-            ik=float(weights_raw.get("ik", 0.2)),
+            precipitation=float(weights_raw.pop("precipitation", 0.4)),
+            soil_moisture=float(weights_raw.pop("soil_moisture", 0.3)),
+            temperature=float(weights_raw.pop("temperature", 0.1)),
+            ik=float(weights_raw.pop("ik", 0.2)),
         )
     except (BadWeightsError, ValueError, TypeError) as exc:
         raise InvalidConfigError("weights", str(exc))
+    unread(weights_raw, "weights.")
 
     thresholds_raw = payload.pop("severity_thresholds", list(DEFAULT_SEVERITY_THRESHOLDS))
     if (not isinstance(thresholds_raw, list) or len(thresholds_raw) != 3
@@ -148,9 +154,11 @@ def load_config(path: str | Path) -> Config:
     http_raw = payload.pop("http", {})
     if not isinstance(http_raw, dict):
         raise InvalidConfigError("http", "expected an object")
-    port = http_raw.get("port", 8080)
+    port = http_raw.pop("port", 8080)
     if type(port) is not int or not 0 <= port <= 65535:
         raise InvalidConfigError("http.port", "expected an integer in 0-65535")
+    host = nonempty_string("http.host", http_raw.pop("host", "127.0.0.1"))
+    unread(http_raw, "http.")
 
     persistence = payload.pop("persistence_dir", None)
     persistence_dir = None
@@ -161,10 +169,11 @@ def load_config(path: str | Path) -> Config:
     baseline = None
     if baseline_raw is not None:
         try:
-            baseline = (parse_utc_instant(baseline_raw["start"]),
-                        parse_utc_instant(baseline_raw["end"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            baseline = (parse_utc_instant(baseline_raw.pop("start")),
+                        parse_utc_instant(baseline_raw.pop("end")))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidConfigError("baseline", f"expected start/end instants: {exc}")
+        unread(baseline_raw, "baseline.")
         if baseline[0] >= baseline[1]:
             raise InvalidConfigError("baseline", "start must precede end")
 
@@ -176,13 +185,12 @@ def load_config(path: str | Path) -> Config:
         sensor_regions=sensor_regions,
         weights=weights,
         severity_thresholds=thresholds,
-        http_host=nonempty_string("http.host", http_raw.get("host", "127.0.0.1")),
+        http_host=host,
         http_port=port,
         persistence_dir=persistence_dir,
         baseline_window=baseline,
         ik_window_days=positive_int("ik_window_days", 90),
         min_baseline_count=positive_int("min_baseline_count", 5),
     )
-    if payload:
-        raise InvalidConfigError(min(payload), "not a config key")
+    unread(payload)
     return config

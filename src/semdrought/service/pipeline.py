@@ -185,13 +185,19 @@ class Pipeline:
         and state persists if a persistence directory is configured.
         """
         summary = ReplaySummary()
-        with open(dataset_path, "r", encoding="utf-8") as handle:
+        # a byte that is not UTF-8 reads as a lone surrogate, which encode() rejects
+        with open(dataset_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
                 tag, _, payload = line.partition("|")
                 if not payload:
+                    summary.reject("Malformed")
+                    continue
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
                     summary.reject("Malformed")
                     continue
                 try:
@@ -413,8 +419,11 @@ def _logged_firing(payload) -> tuple[str, Firing]:
     )
 
 
+_encode_record = json.JSONEncoder(sort_keys=True).encode   # one encoder for every record
+
+
 def _write_jsonl(path: Path, records: Iterable) -> None:
-    _atomic_write(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    _atomic_write(path, "".join(_encode_record(r) + "\n" for r in records))
 
 
 def _read_jsonl(path: Path, build) -> list:

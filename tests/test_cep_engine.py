@@ -4,7 +4,8 @@ The oracle enumerates every rule's boundary grid over the full event list
 and re-evaluates each window from scratch with its own tiny evaluator, so
 the incremental engine is checked against a structurally different path.
 ``ReScanEngine`` is the engine's settle loop over every event handed in so
-far; it checks full firings, evidence included, with flushes interleaved.
+far, evaluating each window with the uncompiled ``_evaluate``; it checks
+full firings, evidence included, with flushes interleaved.
 """
 
 import random
@@ -32,7 +33,8 @@ from semdrought.cep import (
     slope,
     window_aggregate,
 )
-from semdrought.cep.engine import _evaluate
+from semdrought.cep.engine import _sequence_pairs
+from semdrought.cep.rules import COMPARATORS
 from semdrought.model import Namespaces
 
 NS = Namespaces()
@@ -201,7 +203,7 @@ class TestOutOfOrder:
 
 class TestAggregates:
     def test_avg(self):
-        assert window_aggregate([(0, 1.0), (1, 2.0), (2, 3.0)], "AVG") == 2.0
+        assert window_aggregate([1.0, 2.0, 3.0], "AVG") == 2.0
 
     def test_count_empty(self):
         assert window_aggregate([], "COUNT") == 0.0
@@ -219,7 +221,7 @@ class TestAggregates:
         total = 0.0
         for _, v in points:
             total += v
-        assert window_aggregate(points, "SUM") == pytest.approx(total, abs=1e-9)
+        assert window_aggregate([v for _, v in points], "SUM") == pytest.approx(total, abs=1e-9)
 
     def test_empty_aggregate_makes_rule_false(self):
         engine = Engine([rule("RULE r WHEN AVG(k) < 100 WITHIN 1d EMIT E")])
@@ -231,19 +233,43 @@ class TestAggregates:
         assert engine.run([ev("other", 10, 1.0)]) == []
 
 
+    @pytest.mark.parametrize("text", [
+        "RULE r WHEN x > 1 OR AVG(k) > 0 WITHIN 1d EMIT E",
+        "RULE r WHEN AVG(k) > 0 OR x > 1 WITHIN 1d EMIT E",
+        "RULE r WHEN (x > 9 AND AVG(k) > 0) OR x > 1 WITHIN 1d EMIT E",
+    ])
+    def test_empty_aggregate_defeats_a_true_or(self, text):
+        # x > 1 holds, but the undefined AVG anywhere in the rule fails it
+        assert Engine([rule(text)]).run([ev("x", 10, 5.0)]) == []
+
+    @pytest.mark.parametrize("pattern, fires", [
+        ("COUNT(k) == 3", True), ("SUM(k) == 4", True), ("AVG(k) == 2", True),
+        ("MIN(k) == 1", True), ("MAX(k) == 3", True), ("SLOPE(k) > 0", True),
+        ("COUNT(k) == 2", False), ("AVG(k) < 2", False),
+    ])
+    def test_valueless_events_count_but_carry_no_value(self, pattern, fires):
+        stream = [ev("k", 10, 1.0), ev("k", 20), ev("k", 30, 3.0)]
+        firings = Engine([rule(f"RULE r WHEN {pattern} WITHIN 1d EMIT E")]).run(stream)
+        assert [f.evidence for f in firings] == ([tuple(stream)] if fires else [])
+
+    def test_aggregate_of_valueless_events_only_is_undefined(self):
+        engine = Engine([rule("RULE r WHEN NOT AVG(k) > 0 WITHIN 1d EMIT E")])
+        assert engine.run([ev("k", 10), ev("k", 20)]) == []
+
+
 class TestSlope:
     def test_exact_line(self):
         points = [(0, 0.0), (DAY, 1.0), (2 * DAY, 2.0)]
-        assert slope(points) == pytest.approx(1.0, abs=1e-12)
+        assert slope(*zip(*points)) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series(self):
-        assert slope([(0, 5.0), (DAY, 5.0), (2 * DAY, 5.0)]) == pytest.approx(0.0)
+        assert slope([0, DAY, 2 * DAY], [5.0, 5.0, 5.0]) == pytest.approx(0.0)
 
     def test_degenerate_cases(self):
         with pytest.raises(DegenerateSlopeError):
-            slope([(0, 1.0)])
+            slope([0], [1.0])
         with pytest.raises(DegenerateSlopeError):
-            slope([(10, 1.0), (10, 2.0)])
+            slope([10, 10], [1.0, 2.0])
 
     def test_random_points_match_closed_form(self):
         rng = random.Random(13)
@@ -258,7 +284,7 @@ class TestSlope:
             beta = (n * sum(t * v for t, v in zip(days, vs)) - sum(days) * sum(vs)) / (
                 n * sum(t * t for t in days) - sum(days) ** 2
             )
-            assert slope(pts) == pytest.approx(beta, abs=1e-9)
+            assert slope(*zip(*pts)) == pytest.approx(beta, abs=1e-9)
 
     def test_degenerate_trend_is_false_but_not_flips_it(self):
         false_engine = Engine([rule("RULE r WHEN SLOPE(k) < 99 WITHIN 1d EMIT E")])
@@ -298,6 +324,18 @@ class TestSeqAndAbsent:
             assert got_a == got_c
             absent = Engine([rule("RULE r WHEN ABSENT(A) WITHIN 1d EMIT E")])
             count = Engine([rule("RULE r WHEN COUNT(A) == 0 WITHIN 1d EMIT E")])
+
+
+    def test_seq_of_one_kind_lists_each_event_once(self):
+        engine = Engine([rule("RULE r WHEN SEQ(A -> A) WITHIN 1d EMIT E")])
+        stream = [ev("A", 1), ev("A", 2), ev("A", 3)]
+        # the pairs are (A@1, A@2) and (A@2, A@3)
+        assert [f.evidence for f in engine.run(stream)] == [tuple(stream)]
+
+    def test_and_reading_one_kind_twice_lists_each_event_once_in_first_order(self):
+        engine = Engine([rule("RULE r WHEN k > 1 AND COUNT(k) >= 2 WITHIN 1d EMIT E")])
+        first, low, last = ev("k", 1, 2.0), ev("k", 2, 0.5), ev("k", 3, 3.0)
+        assert [f.evidence for f in engine.run([first, low, last])] == [(first, last, low)]
 
 
 class TestCascade:
@@ -397,7 +435,7 @@ def random_rules(rng: random.Random, count: int) -> list[CepRule]:
             if choice < 0.75:
                 return Trend(kind, cmp, round(rng.uniform(-5, 5), 3))
             if choice < 0.9:
-                return Seq(kind, rng.choice(kinds))
+                return Seq(kind, kind if rng.random() < 0.3 else rng.choice(kinds))
             return Absent(kind)
 
         def unary():
@@ -438,6 +476,58 @@ class TestOracleEquivalence:
             got = [(f.rule, f.window_end) for f in engine.run(list(stream))]
             expected = oracle_firings(rules, stream)
             assert got == expected, f"trial {trial} diverged"
+
+
+def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]:
+    """Truth value plus contributing events of a pattern over a window held
+    as lists of events by kind; EmptyWindowError escapes to the rule level
+    and makes the whole rule false for this window."""
+    if isinstance(node, Threshold):
+        compare = COMPARATORS[node.cmp]
+        hits = [e for e in by_kind.get(node.kind, ())
+                if e.value is not None and compare(e.value, node.constant)]
+        return bool(hits), hits
+    if isinstance(node, Aggregate):
+        events = by_kind.get(node.kind, [])
+        if node.fn == "COUNT":
+            result = float(len(events))
+        else:
+            result = window_aggregate([e.value for e in events if e.value is not None], node.fn)
+        return COMPARATORS[node.cmp](result, node.constant), list(events)
+    if isinstance(node, Trend):
+        points = [(e.timestamp, e.value) for e in by_kind.get(node.kind, ())
+                  if e.value is not None]
+        try:
+            value = slope([t for t, _ in points], [v for _, v in points])
+        except DegenerateSlopeError:
+            return False, []
+        return COMPARATORS[node.cmp](value, node.constant), list(by_kind.get(node.kind, ()))
+    if isinstance(node, Seq):
+        pairs = _sequence_pairs(by_kind.get(node.first, []), by_kind.get(node.second, []))
+        return bool(pairs), [e for pair in pairs for e in pair]
+    if isinstance(node, Absent):
+        return not by_kind.get(node.kind), []
+    if isinstance(node, Not):
+        truth, _ = _evaluate(node.child, by_kind)
+        return not truth, []
+    if isinstance(node, And):
+        evidence: list[Event] = []
+        verdict = True
+        for child in node.children:
+            truth, contribution = _evaluate(child, by_kind)
+            verdict = verdict and truth
+            evidence.extend(contribution)
+        return verdict, evidence if verdict else []
+    if isinstance(node, Or):
+        evidence = []
+        verdict = False
+        for child in node.children:
+            truth, contribution = _evaluate(child, by_kind)
+            if truth:
+                verdict = True
+                evidence.extend(contribution)
+        return verdict, evidence
+    raise TypeError(f"not a pattern node: {node!r}")
 
 
 class ReScanEngine:

@@ -227,6 +227,9 @@ CONFIG_EDITS = [
     ({"regions": {"r1": ["s1", "s2", "s3"], "r2": ["S1 "]}}, "regions"),
     ({"persistance_dir": "state"}, "persistance_dir"),
     ({"compile_ik_rules": False}, "compile_ik_rules"),
+    ({"weights": {"soil": 0.3}}, "weights.soil"), ({"http": {"prot": 8080}}, "http.prot"),
+    ({"baseline": {"start": "2020-01-01T00:00:00Z", "end": "2021-01-01T00:00:00Z",
+                   "strat": "2020-01-01T00:00:00Z"}}, "baseline.strat"),
 ]
 
 
@@ -378,6 +381,17 @@ class TestPreEpochIkReport:
         assert status == 400
         assert reply["error"] == "BadTimestamp"
         assert pipeline.ik.observations == ()
+
+
+class TestReplayLineBytes:
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_line_that_is_not_utf8_is_malformed(self, scenario_dir, tmp_path, end):
+        data = tmp_path / "lines.txt"
+        data.write_bytes(end.join([b"csv|s1,rain,5,mm,2020-06-03T00:00:00Z,,",
+                                   b"csv|s3,temp,25,\xff,2020-06-03T00:00:00Z,,",
+                                   b"csv|s2,soil_hum,20,%,2020-06-03T00:00:00Z,,"]) + end)
+        summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
+        assert (summary.parsed, summary.rejected) == (2, {"Malformed": 1})
 
 
 @pytest.fixture(scope="module")
