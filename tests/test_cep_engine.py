@@ -232,7 +232,6 @@ class TestAggregates:
         engine = Engine([rule("RULE r WHEN NOT AVG(k) < 100 WITHIN 1d EMIT E")])
         assert engine.run([ev("other", 10, 1.0)]) == []
 
-
     @pytest.mark.parametrize("text", [
         "RULE r WHEN x > 1 OR AVG(k) > 0 WITHIN 1d EMIT E",
         "RULE r WHEN AVG(k) > 0 OR x > 1 WITHIN 1d EMIT E",
@@ -324,7 +323,6 @@ class TestSeqAndAbsent:
             assert got_a == got_c
             absent = Engine([rule("RULE r WHEN ABSENT(A) WITHIN 1d EMIT E")])
             count = Engine([rule("RULE r WHEN COUNT(A) == 0 WITHIN 1d EMIT E")])
-
 
     def test_seq_of_one_kind_lists_each_event_once(self):
         engine = Engine([rule("RULE r WHEN SEQ(A -> A) WITHIN 1d EMIT E")])
