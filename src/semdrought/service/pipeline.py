@@ -5,14 +5,16 @@ Observations replayed from file and observations posted over HTTP travel
 the identical route, so replay tests cover the live path. Each region owns
 one event engine, preserving the in-order input contract per region while
 regions proceed independently. The per-region observation logs are the
-state, persisted as they are held; observations' triples are rendered from
-them for ``export`` and for the ``store`` view.
+state, persisted as they are held. Each observation's triples, with what
+the built-in rules derive from them and the saturated facts, are rendered
+from the log on every read: for ``export`` and for the ``store`` view.
 """
 
 import json
 import os
 import threading
-from collections.abc import Iterable
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from ..model import (
     parse_utc_instant,
     triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
 )
-from ..store import ParseError, TripleStore, builtin_rules
+from ..store import ParseError, TripleStore, builtin_rules, triple_text
 from .config import Config
 
 OBSERVATION_LOG_FILE = "observations.jsonl"
@@ -84,20 +86,18 @@ class Pipeline:
         self.ns = self.vocabulary.ns
         self.ik = IkRegistry(config.indicators)
         self.rules = config.rules
-        # triples beyond the observations: the ontology, any other asserted
-        # facts a restore loads, and what saturation derives from them
+        # triples beyond the observations, saturated: the ontology, any other
+        # asserted facts a restore loads, and what the rules derive from them
         self._facts = TripleStore()
         for triple in self.vocabulary.as_triples():
             self._facts.insert(triple)
+        self._facts.saturate(builtin_rules(self.ns))
         self._view: TripleStore | None = None
 
         self._engines = {region: Engine(self.rules) for region in config.regions}
-        # the observation log is the state; each region's first _saturated[region]
-        # entries carry their super-type triples
         self._observations: dict[str, list[CanonicalObservation]] = {
             region: [] for region in config.regions
         }
-        self._saturated = {region: 0 for region in config.regions}
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
         self.lock = threading.RLock()
@@ -152,10 +152,8 @@ class Pipeline:
             payload = json.loads(document)
         except json.JSONDecodeError as exc:
             raise IngestError(f"bad indigenous-knowledge payload: {exc}")
-        obs = _ik_observation(payload)
+        obs = _ik_observation(payload, self.config.regions)
         with self.lock:
-            if obs.region not in self.config.regions:
-                raise UnknownRegionError(f"unknown region: {obs.region}")
             event = self.ik.event_for(obs)
             firings = self._engines[obs.region].push_event(event)  # may reject; nothing logged
             self.ik.record_observation(obs)
@@ -181,8 +179,8 @@ class Pipeline:
         """Feed a ``format|payload`` line file through the ingestion path.
 
         Per-line failures are tallied, never fatal. At end of input the
-        engines drain, the store saturates under the built-in rule set,
-        and state persists if a persistence directory is configured.
+        engines drain, and state persists if a persistence directory is
+        configured.
         """
         summary = ReplaySummary()
         # a byte that is not UTF-8 reads as a lone surrogate, which encode() rejects
@@ -211,13 +209,6 @@ class Pipeline:
                 summary.parsed += 1
                 summary.firings += len(firings)
         summary.firings += self.flush_engines()
-        with self.lock:
-            # what this derives for the logged observations, their super-types,
-            # is rendered from the log, not stored
-            self._facts.saturate(builtin_rules(self.ns))
-            for region, log in self._observations.items():
-                self._saturated[region] = len(log)
-            self._view = None
         if self.config.persistence_dir is not None:
             self.persist(self.config.persistence_dir)
         return summary
@@ -237,8 +228,7 @@ class Pipeline:
         """Forecast for a region period; drains engines so evidence is current."""
         self.flush_engines()
         with self.lock:
-            if region not in self.config.regions:
-                raise UnknownRegionError(f"unknown region: {region}")
+            _check_region(region, self.config.regions)
             if period is None:
                 period = self._latest_period(region)
             start, _ = period_bounds(period)
@@ -263,35 +253,51 @@ class Pipeline:
 
     # -- triples --------------------------------------------------------------
 
+    def _observation_triples(self) -> Iterator[tuple[Triple, bool]]:
+        """(triple, inferred) for each logged observation: its eight triples,
+        then ``rdf:type`` to each super-class of ``ex:ObservationEvent``, then
+        each of those under every super-property of its predicate, with both
+        closures read from the saturated facts. That is the built-in rules'
+        fixpoint unless the ontology makes an observation predicate a
+        sub-property of ``rdf:type``, ``ex:subClassOf`` or ``ex:subPropertyOf``,
+        which would need the rules to chain further. Call with the lock held."""
+        rdf_type, event_class = Iri(RDF_NS + "type"), self.ns.iri("ex:ObservationEvent")
+        sub_class, sub_property = self.ns.iri("ex:subClassOf"), self.ns.iri("ex:subPropertyOf")
+        super_classes = {t.object for t in self._facts if t.predicate == sub_class
+                         and t.subject == event_class} - {event_class}
+        super_properties = defaultdict(list)
+        for t in self._facts:
+            if t.predicate == sub_property:
+                super_properties[t.subject].append(t.object)
+        for log in self._observations.values():
+            for obs in log:
+                own = observation_to_triples(self.ns, obs)
+                typed = [Triple(obs.id, rdf_type, cls) for cls in super_classes]
+                yield from ((t, False) for t in own)
+                yield from ((t, True) for t in typed)
+                yield from ((Triple(obs.id, prop, t.object), True) for t in own + typed
+                            for prop in super_properties.get(t.predicate, ()))
+
     @property
     def store(self) -> TripleStore:
-        """Every triple of the state, with its inferred mark: the store's own,
-        each observation's eight and, once saturated, its super-type triples.
-        A read-only view, built on demand and cached until the next write."""
+        """Every triple of the state, with its inferred mark: the saturated
+        facts, then each observation's own and derived triples. A read-only
+        view, built on demand and cached until the next write."""
         with self.lock:
             if self._view is None:
                 view = TripleStore()
                 for triple in self._facts:
                     view.insert(triple, inferred=self._facts.is_inferred(triple))
-                rdf_type = Iri(RDF_NS + "type")
-                event_class = self.ns.iri("ex:ObservationEvent")
-                sub_class = self.ns.iri("ex:subClassOf")
-                # once saturated, the whole subClassOf closure of the event class
-                super_types = {t.object for t in self._facts if t.subject == event_class
-                               and t.predicate == sub_class} - {event_class}
-                for region, log in self._observations.items():
-                    for index, obs in enumerate(log):
-                        for triple in observation_to_triples(self.ns, obs):
-                            view.insert(triple)
-                        if index < self._saturated[region]:
-                            for cls in super_types:
-                                view.insert(Triple(obs.id, rdf_type, cls), inferred=True)
+                for triple, inferred in self._observation_triples():
+                    view.insert(triple, inferred=inferred)
                 self._view = view
             return self._view
 
     def serialize(self) -> str:
-        """The state as N-Triples, as ``export`` writes it: ``store.serialize()``."""
-        return self.store.serialize()
+        """The state as N-Triples, as ``export`` writes it; equal to
+        ``store.serialize()``, without building the view."""
+        with self.lock:
+            return self._facts.serialize(triple_text(t) for t, _ in self._observation_triples())
 
     # -- persistence ----------------------------------------------------------
 
@@ -303,11 +309,9 @@ class Pipeline:
         with self.lock:
             _write_jsonl(directory / OBSERVATION_LOG_FILE, (
                 _observation_row(obs) for log in self._observations.values() for obs in log))
-            asserted = TripleStore()
-            for triple in self._facts:
-                if not self._facts.is_inferred(triple):
-                    asserted.insert(triple)
-            _atomic_write(directory / FACTS_FILE, asserted.serialize())
+            facts = self._facts
+            _atomic_write(directory / FACTS_FILE, TripleStore().serialize(
+                triple_text(t) for t in facts if not facts.is_inferred(t)))
             _write_jsonl(directory / IK_LOG_FILE, ({
                 "indicator_id": o.indicator_id,
                 "timestamp": format_utc_instant(o.timestamp),
@@ -351,16 +355,16 @@ class Pipeline:
         except (UnicodeDecodeError, ParseError) as exc:
             raise SemDroughtError(f"{facts_path}: {exc}") from exc
         facts.saturate(builtin_rules(self.ns))
+        regions = self.config.regions
         ik = IkRegistry(self.config.indicators)
         _read_jsonl(directory / IK_LOG_FILE,
-                    lambda payload: ik.record_observation(_ik_observation(payload)))
-        firings = _read_jsonl(directory / FIRING_LOG_FILE, _logged_firing)
+                    lambda payload: ik.record_observation(_ik_observation(payload, regions)))
+        firings = _read_jsonl(directory / FIRING_LOG_FILE, lambda p: _logged_firing(p, regions))
         with self.lock:
             self._facts = facts
             self._observation_ids = ids
             self._observations = logs
             for region, log in logs.items():
-                self._saturated[region] = len(log)
                 times = [o.timestamp for o in ik.observations if o.region == region]
                 times.extend(o.timestamp for o in log)
                 self._engines[region] = Engine(self.rules, max(times, default=None))
@@ -369,11 +373,17 @@ class Pipeline:
             self._firings = firings
 
 
-def _ik_observation(payload) -> IkObservation:
-    """An indigenous-knowledge report from its JSON object, as posted to
-    ``ingest_ik_json`` and as ``persist`` logs it."""
+def _check_region(region: str, regions) -> str:
+    if region not in regions:
+        raise UnknownRegionError(f"unknown region: {region}")
+    return region
+
+
+def _ik_observation(payload, regions) -> IkObservation:
+    """An indigenous-knowledge report in one of ``regions`` from its JSON
+    object, as posted to ``ingest_ik_json`` and as ``persist`` logs it."""
     try:
-        return IkObservation(
+        obs = IkObservation(
             indicator_id=str(payload["indicator_id"]),
             timestamp=parse_timestamp(str(payload["timestamp"])),
             region=str(payload["region"]),
@@ -381,6 +391,8 @@ def _ik_observation(payload) -> IkObservation:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"bad indigenous-knowledge payload: {exc}")
+    _check_region(obs.region, regions)
+    return obs
 
 
 # an observation as ``persist`` logs it, one JSON array per observation: its id,
@@ -410,10 +422,11 @@ def _logged_observation(row) -> CanonicalObservation:
     return CanonicalObservation(**fields)
 
 
-def _logged_firing(payload) -> tuple[str, Firing]:
-    """A (region, firing) pair from its ``persist`` log record."""
+def _logged_firing(payload, regions) -> tuple[str, Firing]:
+    """A (region, firing) pair, the region one of ``regions``, from its
+    ``persist`` log record."""
     at = parse_utc_instant(payload["at"])
-    return str(payload["region"]), Firing(
+    return _check_region(str(payload["region"]), regions), Firing(
         rule=str(payload["rule"]), window_end=at,
         event=Event(kind=str(payload["kind"]), timestamp=at),
     )

@@ -6,7 +6,7 @@ deterministic line-oriented N-Triples subset for persistence.
 """
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import SemDroughtError
@@ -180,27 +180,22 @@ class TripleStore:
 
     def serialize(self, extra_lines: Iterable[str] = ()) -> str:
         """One triple per line, merged with ``extra_lines`` (triples already
-        rendered by ``term_text`` and ``statement``), deduplicated and
-        lexicographically sorted; inferred marks dropped."""
-        lines = {_serialize_triple(t) for t in self._triples}
+        rendered by ``triple_text``), deduplicated and lexicographically
+        sorted; inferred marks dropped."""
+        lines = {triple_text(t) for t in self._triples}
         lines.update(extra_lines)
         return "".join(line + "\n" for line in sorted(lines))
 
     @classmethod
     def load(cls, text: str) -> "TripleStore":
+        """The triples of each non-blank line of an N-Triples document;
+        raises ParseError, with its line number, on the first bad line."""
         store = cls()
-        for _, triple in parse_lines(text):
-            store.insert(triple)
+        terms: dict[str, Term] = {}     # each distinct term text is parsed once
+        for number, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                store.insert(_parse_line(line, number, terms))
         return store
-
-
-def parse_lines(text: str) -> Iterator[tuple[str, Triple]]:
-    """(line, triple) for each non-blank line of an N-Triples document;
-    raises ParseError, with its line number, on the first bad line."""
-    terms: dict[str, Term] = {}     # each distinct term text is parsed once
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield line, _parse_line(line, number, terms)
 
 
 def _escape(lexical: str) -> str:
@@ -213,27 +208,19 @@ def _unescape(lexical: str) -> str:
             .replace('\\"', '"').replace("\\\\", "\\"))
 
 
-def literal_text(lexical: str, datatype: Datatype) -> str:
-    return f'"{_escape(lexical)}"^^<{datatype.iri}>'
-
-
 def term_text(term: Term) -> str:
     """A term as it appears in an N-Triples line."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
-    return literal_text(term.lexical, term.datatype)
+    return f'"{_escape(term.lexical)}"^^<{term.datatype.iri}>'
 
 
-def statement(subject: str, predicate: str, obj: str) -> str:
-    """One N-Triples line from the terms' texts."""
-    return f"{subject} {predicate} {obj} ."
-
-
-def _serialize_triple(triple: Triple) -> str:
-    return statement(term_text(triple.subject), term_text(triple.predicate),
-                     term_text(triple.object))
+def triple_text(triple: Triple) -> str:
+    """A triple as one N-Triples line."""
+    return (f"{term_text(triple.subject)} {term_text(triple.predicate)} "
+            f"{term_text(triple.object)} .")
 
 
 _LINE = re.compile(

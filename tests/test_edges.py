@@ -405,7 +405,7 @@ def persisted(tmp_path_factory):
 
 
 def append_row(edit):
-    """A damage that appends a copy of the first observation row, changed by
+    """A damage that appends a copy of the file's first row, changed by
     ``edit``."""
     def damage(data: bytes) -> bytes:
         row = json.loads(data.splitlines()[0])
@@ -418,6 +418,10 @@ class TestDamagedState:
     @pytest.mark.parametrize("file_name, damage, reported", [
         ("ik_log.jsonl", lambda data: data + b"{not json\n", "ik_log.jsonl"),
         ("firings.jsonl", lambda data: data + b'{"region": "r1"}\n', "firings.jsonl"),
+        ("ik_log.jsonl", append_row(lambda row: row.__setitem__("region", "atlantis")),
+         "unknown region: atlantis"),
+        ("firings.jsonl", append_row(lambda row: row.__setitem__("region", "atlantis")),
+         "unknown region: atlantis"),
         ("observations.jsonl", append_row(lambda row: row.__setitem__(6, 95)),
          "latitude out of range"),
         ("observations.jsonl", lambda data: data + b"\xff",

@@ -3,7 +3,7 @@ export, persistence and restore.
 
 The reference for every check is the store built the original way: each
 accepted observation inserted as its eight triples into one TripleStore,
-saturated at the same points.
+saturated after every step.
 """
 
 import json
@@ -21,6 +21,7 @@ import scenario
 from semdrought.errors import SemDroughtError
 from semdrought.ingest import canonicalize, parse_payload
 from semdrought.model import (
+    OBSERVATION_SHAPE,
     RDF_NS,
     CanonicalObservation,
     Datatype,
@@ -34,7 +35,12 @@ from semdrought.model import (
 )
 from semdrought.service import Pipeline, load_config
 from semdrought.service.cli import main as cli_main
-from semdrought.service.pipeline import FACTS_FILE, _logged_observation, _observation_row
+from semdrought.service.pipeline import (
+    FACTS_FILE,
+    OBSERVATION_LOG_FILE,
+    _logged_observation,
+    _observation_row,
+)
 from semdrought.store import TripleStore, builtin_rules
 
 from live_server import running_server
@@ -93,6 +99,19 @@ def persisted(scenario_dir):
     pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
     pipeline.replay(scenario.dataset_path(scenario_dir))
     return scenario_dir, pipeline
+
+
+@pytest.fixture(scope="module")
+def persisted_head(scenario_dir, tmp_path_factory):
+    """The scenario's first 24 dataset lines replayed, and the state they
+    persisted."""
+    target = tmp_path_factory.mktemp("scenario_head") / "head"
+    shutil.copytree(scenario_dir, target)
+    dataset = scenario.dataset_path(target)
+    dataset.write_text("".join(dataset.read_text().splitlines(keepends=True)[:24]))
+    pipeline = Pipeline(load_config(scenario.config_path(target)))
+    pipeline.replay(dataset)
+    return target, pipeline
 
 
 def persisted_facts(scenario_dir: Path) -> str:
@@ -217,16 +236,19 @@ class TestDerivedView:
                     assert summary.parsed == outcomes.count(None)
                     rejected = {c: outcomes.count(c) for c in set(outcomes) - {None}}
                     assert summary.rejected == rejected
-                    reference.store.saturate(rules)
-                    view = pipeline.store
-                    assert set(view) == oracle_fixpoint(asserted(view), rules)
-                assert_same_store(pipeline.store, reference.store)
+                reference.store.saturate(rules)
+                view = pipeline.store
+                assert set(view) == oracle_fixpoint(asserted(view), rules)
+                assert_same_store(view, reference.store)
                 assert pipeline.serialize() == reference.store.serialize()
 
     def test_concurrent_ingest_and_view_reads(self, two_regions):
         """Readers never see a torn observation; the last view has them all."""
         pipeline = Pipeline(load_config(two_regions))
         base = len(pipeline.store)
+        pipeline.ingest_payload("csv", csv_line(("s2", 0, 1.5)))
+        per_observation = len(pipeline.store) - base
+        base += per_observation
         torn = []
 
         def write(sensor):
@@ -236,7 +258,7 @@ class TestDerivedView:
         def read():
             for _ in range(200):
                 view = pipeline.store
-                if (len(view) - base) % 8:
+                if (len(view) - base) % per_observation:
                     torn.append(len(view))
 
         threads = ([threading.Thread(target=write, args=(s,)) for s in ("s1", "s3")]
@@ -252,7 +274,7 @@ class TestDerivedView:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert torn == []
-        assert len(pipeline.store) == base + 2 * 60 * 8
+        assert len(pipeline.store) == base + 2 * 60 * per_observation
 
     def test_view_is_cached_until_a_write(self, two_regions):
         pipeline = Pipeline(load_config(two_regions))
@@ -260,7 +282,11 @@ class TestDerivedView:
         assert pipeline.store is first
         pipeline.ingest_payload("csv", csv_line(("s1", 0, 1.5)))
         second = pipeline.store
-        assert second is not first and len(second) == len(first) + 8
+        assert pipeline.store is second
+        pipeline.ingest_payload("csv", csv_line(("s1", 1, 1.5)))
+        third = pipeline.store
+        assert second is not first and third is not second
+        assert len(third) - len(second) == len(second) - len(first)
 
 
 # --- restore -------------------------------------------------------------------
@@ -335,12 +361,61 @@ class TestRestore:
         pipeline = restored_copy(target, tmp_path / "copy",
                                  chain.serialize(persisted_facts(target).splitlines()))
         pipeline.ingest_payload("csv", "s1,rain,4.2,mm,2023-02-03T00:00:00Z,-29.12,26.21")
-        empty = tmp_path / "empty.txt"
-        empty.write_text("")
-        pipeline.replay(empty)                                 # saturates
         view = pipeline.store
         rules = builtin_rules(ns)
         assert set(view) == oracle_fixpoint(asserted(view), rules)
         posted = mint_observation_iri(ns, ns.iri("ex:sensor/s1"), 1675382400)
         for cls in ("ex:Event", "ex:Occurrence"):
             assert view.is_inferred(Triple(posted, RDF_TYPE, ns.iri(cls)))
+
+
+# --- derivations from a restored ontology -------------------------------------
+
+CLASSES = ["ex:ObservationEvent", "ex:Event", "ex:Phenomenon", "ex:Happening"]
+FRESH_PROPERTIES = ["ex:reading", "ex:about", "ex:measure"]
+SUB_PROPERTIES = [RDF_NS + "type"] + [f"ex:{local}" for local, _, _ in OBSERVATION_SHAPE]
+ontology_edges = st.tuples(
+    st.lists(st.tuples(st.sampled_from(CLASSES), st.sampled_from(CLASSES)), max_size=5),
+    st.lists(st.tuples(st.sampled_from(SUB_PROPERTIES + FRESH_PROPERTIES),
+                       st.sampled_from(FRESH_PROPERTIES)), max_size=5),
+)
+
+
+class TestOntologyDerivations:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edges=ontology_edges, posts=st.lists(readings, max_size=3))
+    def test_view_and_export_are_the_fixpoint_after_every_step(self, persisted_head,
+                                                                edges, posts):
+        """A restored scenario whose facts relate the observation class and
+        predicates to fresh classes and properties, then live posts: every
+        read is the built-in rules' fixpoint of the asserted triples."""
+        target, live = persisted_head
+        ns = live.ns
+        rules = builtin_rules(ns)
+        class_edges, property_edges = edges
+        extra = TripleStore()
+        for sub, sup in class_edges:
+            extra.insert(Triple(ns.iri(sub), ns.iri("ex:subClassOf"), ns.iri(sup)))
+        for sub, sup in property_edges:
+            sub_iri = Iri(sub) if sub.startswith(RDF_NS) else ns.iri(sub)
+            extra.insert(Triple(sub_iri, ns.iri("ex:subPropertyOf"), ns.iri(sup)))
+        facts_text = extra.serialize(persisted_facts(target).splitlines())
+        expected = set(TripleStore.load(facts_text))
+        state = load_config(scenario.config_path(target)).persistence_dir
+        for line in (state / OBSERVATION_LOG_FILE).read_text().splitlines():
+            expected.update(observation_to_triples(ns, _logged_observation(json.loads(line))))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            pipeline = restored_copy(target, Path(tmp) / "copy", facts_text)
+            for step in [None] + posts:
+                if step is not None:
+                    try:
+                        obs, _ = pipeline.ingest_payload("csv", csv_line(step))
+                    except SemDroughtError:
+                        continue
+                    expected.update(observation_to_triples(ns, obs))
+                view = pipeline.store
+                assert asserted(view) == expected
+                assert set(view) == oracle_fixpoint(expected, rules)
+                assert pipeline.serialize() == view.serialize()
