@@ -12,16 +12,14 @@ from .engine import (
 )
 from .rules import (
     Absent,
-    Aggregate,
     And,
     CepRule,
+    Compare,
     Not,
     Or,
     RuleSemanticError,
     RuleSyntaxError,
     Seq,
-    Threshold,
-    Trend,
     WindowSpec,
     parse_rule,
     parse_ruleset,
@@ -29,9 +27,9 @@ from .rules import (
 )
 
 __all__ = [
-    "Absent", "Aggregate", "And", "CepRule", "DegenerateSlopeError",
+    "Absent", "And", "CepRule", "Compare", "DegenerateSlopeError",
     "EmptyWindowError", "Engine", "Event", "Firing", "Not", "Or",
     "OutOfOrderError", "RuleSemanticError", "RuleSyntaxError", "Seq",
-    "Threshold", "Trend", "WindowSpec", "parse_rule", "parse_ruleset",
-    "rule_to_text", "slope", "window_aggregate",
+    "WindowSpec", "parse_rule", "parse_ruleset", "rule_to_text", "slope",
+    "window_aggregate",
 ]

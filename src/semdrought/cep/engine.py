@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from ..errors import SemDroughtError
-from .rules import (
-    COMPARATORS, Absent, Aggregate, And, CepRule, Not, Or, Seq, Threshold, Trend,
-)
+from .rules import COMPARATORS, Absent, And, CepRule, Not, Or, Seq
 
 SECONDS_PER_DAY = 86400.0
 
@@ -71,7 +69,7 @@ class Event:
 class Firing:
     rule: str
     window_end: int
-    event: Event
+    kind: str
     evidence: tuple[Event, ...] = field(default=(), compare=False)
 
 
@@ -177,11 +175,11 @@ def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
     if isinstance(node, Absent):
         return (lambda start, end: not count_in(start, end)), no_evidence
     compare, constant = COMPARATORS[node.cmp], node.constant
-    if isinstance(node, Threshold):
+    if node.fn is None:
         return ((lambda start, end: any(map(compare, valued_in(start, end)[1], repeat(constant)))),
                 (lambda start, end: [e for e in events_in(start, end)
                                      if e.value is not None and compare(e.value, constant)]))
-    if isinstance(node, Trend):
+    if node.fn == "SLOPE":
         def trend_truth(start, end):
             try:
                 return compare(slope(*valued_in(start, end)), constant)
@@ -272,7 +270,8 @@ class Engine:
                 firing = self._evaluate_rule(rule, boundary)
                 if firing is not None:
                     firings.append(firing)
-                    emitted.append(firing.event)
+                    emitted.append(Event(kind=rule.emit, timestamp=boundary,
+                                         attributes=(("rule", rule.name),)))
                 self._cursors[rule.name] = boundary + rule.window.stride
             for event in emitted:
                 self._hold(event)
@@ -301,9 +300,7 @@ class Engine:
         found = evidence(start, boundary)
         if repeats:     # each event once, where it first contributed
             found = {id(e): e for e in found}.values()
-        emitted = Event(kind=rule.emit, timestamp=boundary,
-                        attributes=(("rule", rule.name),))
-        return Firing(rule=rule.name, window_end=boundary, event=emitted,
+        return Firing(rule=rule.name, window_end=boundary, kind=rule.emit,
                       evidence=tuple(found))
 
     def _prune(self):

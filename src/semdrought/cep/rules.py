@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from ..errors import SemDroughtError
 from ..model import Namespaces, Vocabulary, canonical_double
 
-KEYWORDS = frozenset({
-    "RULE", "WHEN", "WITHIN", "STEP", "EMIT", "SEVERITY",
-    "OR", "AND", "NOT", "AVG", "MIN", "MAX", "SUM", "COUNT",
-    "SLOPE", "SEQ", "ABSENT",
-})
-AGGREGATE_FNS = ("AVG", "MIN", "MAX", "SUM", "COUNT")
+VALUE_FNS = ("AVG", "MIN", "MAX", "SUM", "COUNT", "SLOPE")
+KEYWORDS = frozenset(("RULE", "WHEN", "WITHIN", "STEP", "EMIT", "SEVERITY",
+                      "OR", "AND", "NOT", "SEQ", "ABSENT") + VALUE_FNS)
 COMPARATORS = {
     "<=": operator.le, ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
     "<": operator.lt, ">": operator.gt,
@@ -54,22 +51,11 @@ class RuleSemanticError(SemDroughtError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Threshold:
-    kind: str
-    cmp: str
-    constant: float
-
-
-@dataclass(frozen=True)
-class Aggregate:
-    fn: str
-    kind: str
-    cmp: str
-    constant: float
-
-
-@dataclass(frozen=True)
-class Trend:
+class Compare:
+    """``fn(kind) cmp constant`` over a window's readings of ``kind``, ``fn``
+    one of VALUE_FNS; with ``fn`` None, ``kind cmp constant`` holds when some
+    reading compares true."""
+    fn: str | None
     kind: str
     cmp: str
     constant: float
@@ -101,7 +87,7 @@ class Or:
     children: tuple["PatternExpr", ...]
 
 
-PatternExpr = Threshold | Aggregate | Trend | Seq | Absent | Not | And | Or
+PatternExpr = Compare | Seq | Absent | Not | And | Or
 
 
 @dataclass(frozen=True)
@@ -281,7 +267,7 @@ class _Parser:
         if self._at_kw("NOT"):
             token = self._advance()
             child = self._prim()
-            if not isinstance(child, (Threshold, Aggregate, Trend)):
+            if not isinstance(child, Compare):
                 raise RuleSemanticError(
                     f"line {token.line}: NOT applies to value predicates only"
                 )
@@ -295,12 +281,9 @@ class _Parser:
             inner = self._or()
             self._expect("RPAREN", "closing parenthesis")
             return inner
-        if self._at_kw(*AGGREGATE_FNS):
+        if self._at_kw(*VALUE_FNS):
             fn = self._advance().text
-            return Aggregate(fn, self._kind_in_parens(), *self._comparison())
-        if self._at_kw("SLOPE"):
-            self._advance()
-            return Trend(self._kind_in_parens(), *self._comparison())
+            return Compare(fn, self._kind_in_parens(), *self._comparison())
         if self._at_kw("SEQ"):
             self._advance()
             self._expect("LPAREN", "opening parenthesis")
@@ -313,7 +296,7 @@ class _Parser:
             self._advance()
             return Absent(self._kind_in_parens())
         if token.kind in ("IDENT", "IRI"):
-            return Threshold(self._term("event kind"), *self._comparison())
+            return Compare(None, self._term("event kind"), *self._comparison())
         self._fail("a pattern")
 
     def _kind_in_parens(self) -> str:
@@ -380,14 +363,11 @@ def _term_text(kind: str) -> str:
 
 
 def _pattern_text(expr: PatternExpr) -> str:
-    if isinstance(expr, Threshold):
-        return f"{_term_text(expr.kind)} {expr.cmp} {canonical_double(expr.constant)}"
-    if isinstance(expr, Aggregate):
-        return (f"{expr.fn}({_term_text(expr.kind)}) {expr.cmp} "
-                f"{canonical_double(expr.constant)}")
-    if isinstance(expr, Trend):
-        return (f"SLOPE({_term_text(expr.kind)}) {expr.cmp} "
-                f"{canonical_double(expr.constant)}")
+    if isinstance(expr, Compare):
+        operand = _term_text(expr.kind)
+        if expr.fn is not None:
+            operand = f"{expr.fn}({operand})"
+        return f"{operand} {expr.cmp} {canonical_double(expr.constant)}"
     if isinstance(expr, Seq):
         return f"SEQ({_term_text(expr.first)} -> {_term_text(expr.second)})"
     if isinstance(expr, Absent):

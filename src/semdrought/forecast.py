@@ -5,6 +5,8 @@ standardizes the current month against them, folds in the indigenous-
 knowledge signal, and classifies the resulting vulnerability index.
 """
 
+import math
+import re
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -45,8 +47,8 @@ class DviWeights:
 
     def __post_init__(self):
         parts = (self.precipitation, self.soil_moisture, self.temperature, self.ik)
-        if any(w < 0 for w in parts):
-            raise BadWeightsError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in parts):     # also false for NaN
+            raise BadWeightsError("weights must be finite and non-negative")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise BadWeightsError(f"weights must sum to 1, got {sum(parts)}")
 
@@ -194,9 +196,11 @@ class ForecastBulletin:
 
 
 def period_bounds(period: str) -> tuple[int, int]:
-    """[start, end) epoch seconds of a YYYY-MM period."""
+    """[start, end) epoch seconds of a period written exactly YYYY-MM."""
     try:
-        year, month = (int(part) for part in period.split("-"))
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}", period):
+            raise ValueError
+        year, month = int(period[:4]), int(period[5:])
         start = datetime(year, month, 1, tzinfo=timezone.utc)
         end = datetime(year + month // 12, month % 12 + 1, 1,     # the next month's first
                        tzinfo=timezone.utc)

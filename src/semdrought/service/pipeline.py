@@ -322,7 +322,7 @@ class Pipeline:
                 "region": region,
                 "rule": firing.rule,
                 "at": format_utc_instant(firing.window_end),
-                "kind": firing.event.kind,
+                "kind": firing.kind,
             } for region, firing in self._firings))
 
     def restore(self, directory: str | Path) -> None:
@@ -425,10 +425,9 @@ def _logged_observation(row) -> CanonicalObservation:
 def _logged_firing(payload, regions) -> tuple[str, Firing]:
     """A (region, firing) pair, the region one of ``regions``, from its
     ``persist`` log record."""
-    at = parse_utc_instant(payload["at"])
     return _check_region(str(payload["region"]), regions), Firing(
-        rule=str(payload["rule"]), window_end=at,
-        event=Event(kind=str(payload["kind"]), timestamp=at),
+        rule=str(payload["rule"]), window_end=parse_utc_instant(payload["at"]),
+        kind=str(payload["kind"]),
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import scenario
 from semdrought.cep import CepRule, Engine, Event, WindowSpec, window_aggregate, slope
-from semdrought.cep.rules import Absent, Aggregate, And, Not, Or, Seq, Threshold, Trend
+from semdrought.cep.rules import Absent, And, Compare, Not, Or, Seq
 from semdrought.forecast import (
     DviWeights,
     Severity,
@@ -179,21 +179,21 @@ def _acceptance_rules(rng: random.Random, count: int) -> list[CepRule]:
             cmp = rng.choice(["<", "<=", ">", ">=", "==", "!="])
             roll = rng.random()
             if roll < 0.3:
-                return Threshold(kind, cmp, round(rng.uniform(-1, 1), 3))
+                return Compare(None, kind, cmp, round(rng.uniform(-1, 1), 3))
             if roll < 0.6:
                 fn = rng.choice(["AVG", "MIN", "MAX", "SUM", "COUNT"])
                 bound = float(rng.randint(0, 5)) if fn == "COUNT" else round(
                     rng.uniform(-2, 2), 3)
-                return Aggregate(fn, kind, cmp, bound)
+                return Compare(fn, kind, cmp, bound)
             if roll < 0.75:
-                return Trend(kind, cmp, round(rng.uniform(-5, 5), 3))
+                return Compare("SLOPE", kind, cmp, round(rng.uniform(-5, 5), 3))
             if roll < 0.9:
                 return Seq(kind, rng.choice(kinds))
             return Absent(kind)
 
         def unary():
             node = leaf()
-            if isinstance(node, (Threshold, Aggregate, Trend)) and rng.random() < 0.25:
+            if isinstance(node, Compare) and rng.random() < 0.25:
                 return Not(node)
             return node
 
@@ -374,7 +374,7 @@ def test_criterion_7_determinism_and_persistence(drought_world):
             pipeline = Pipeline(load_config(scenario.config_path(target)))
             pipeline.replay(scenario.dataset_path(target))
             exports.append(pipeline.store.serialize())
-            firing_logs.append([(r, f.rule, f.window_end, f.event.kind)
+            firing_logs.append([(r, f.rule, f.window_end, f.kind)
                                 for r, f in pipeline.firings])
         assert firing_logs[0] == firing_logs[1]
         assert exports[0] == exports[1]

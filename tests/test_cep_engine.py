@@ -15,9 +15,9 @@ import pytest
 
 from semdrought.cep import (
     Absent,
-    Aggregate,
     And,
     CepRule,
+    Compare,
     DegenerateSlopeError,
     EmptyWindowError,
     Engine,
@@ -26,8 +26,6 @@ from semdrought.cep import (
     Or,
     OutOfOrderError,
     Seq,
-    Threshold,
-    Trend,
     WindowSpec,
     parse_rule,
     slope,
@@ -62,10 +60,10 @@ def oracle_eval(node, window: list[Event]) -> bool:
     valued = lambda k: [e for e in of_kind(k) if e.value is not None]
     compare = {"<": float.__lt__, "<=": float.__le__, ">": float.__gt__,
                ">=": float.__ge__, "==": float.__eq__, "!=": float.__ne__}
-    if isinstance(node, Threshold):
+    if isinstance(node, Compare) and node.fn is None:
         return any(compare[node.cmp](float(e.value), node.constant)
                    for e in valued(node.kind))
-    if isinstance(node, Aggregate):
+    if isinstance(node, Compare) and node.fn != "SLOPE":
         if node.fn == "COUNT":
             result = float(len(of_kind(node.kind)))
         else:
@@ -84,7 +82,7 @@ def oracle_eval(node, window: list[Event]) -> bool:
             else:
                 result = (min if node.fn == "MIN" else max)(values)
         return compare[node.cmp](result, node.constant)
-    if isinstance(node, Trend):
+    if isinstance(node, Compare) and node.fn == "SLOPE":
         pts = [(e.timestamp / 86400.0, e.value) for e in valued(node.kind)]
         if len(pts) < 2 or len({t for t, _ in pts}) < 2:
             return False
@@ -154,8 +152,7 @@ class TestThresholdWindow:
         firings = engine.run([ev(TEMP, 0, 31.0)])
         assert len(firings) == 1
         assert firings[0].rule == "hot"
-        assert firings[0].event.kind == "Hot"
-        assert firings[0].event.timestamp == firings[0].window_end
+        assert firings[0].kind == "Hot"
 
     def test_boundary_value_does_not_fire(self):
         engine = Engine([rule(f"RULE hot WHEN <{TEMP}> > 30 WITHIN 1d EMIT Hot")])
@@ -425,20 +422,20 @@ def random_rules(rng: random.Random, count: int) -> list[CepRule]:
             cmp = rng.choice(["<", "<=", ">", ">=", "==", "!="])
             choice = rng.random()
             if choice < 0.3:
-                return Threshold(kind, cmp, round(rng.uniform(-1, 1), 3))
+                return Compare(None, kind, cmp, round(rng.uniform(-1, 1), 3))
             if choice < 0.6:
                 fn = rng.choice(["AVG", "MIN", "MAX", "SUM", "COUNT"])
                 bound = rng.randint(0, 5) if fn == "COUNT" else round(rng.uniform(-2, 2), 3)
-                return Aggregate(fn, kind, cmp, float(bound))
+                return Compare(fn, kind, cmp, float(bound))
             if choice < 0.75:
-                return Trend(kind, cmp, round(rng.uniform(-5, 5), 3))
+                return Compare("SLOPE", kind, cmp, round(rng.uniform(-5, 5), 3))
             if choice < 0.9:
                 return Seq(kind, kind if rng.random() < 0.3 else rng.choice(kinds))
             return Absent(kind)
 
         def unary():
             node = leaf()
-            if isinstance(node, (Threshold, Aggregate, Trend)) and rng.random() < 0.25:
+            if isinstance(node, Compare) and rng.random() < 0.25:
                 return Not(node)
             return node
 
@@ -480,19 +477,19 @@ def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]
     """Truth value plus contributing events of a pattern over a window held
     as lists of events by kind; EmptyWindowError escapes to the rule level
     and makes the whole rule false for this window."""
-    if isinstance(node, Threshold):
+    if isinstance(node, Compare) and node.fn is None:
         compare = COMPARATORS[node.cmp]
         hits = [e for e in by_kind.get(node.kind, ())
                 if e.value is not None and compare(e.value, node.constant)]
         return bool(hits), hits
-    if isinstance(node, Aggregate):
+    if isinstance(node, Compare) and node.fn != "SLOPE":
         events = by_kind.get(node.kind, [])
         if node.fn == "COUNT":
             result = float(len(events))
         else:
             result = window_aggregate([e.value for e in events if e.value is not None], node.fn)
         return COMPARATORS[node.cmp](result, node.constant), list(events)
-    if isinstance(node, Trend):
+    if isinstance(node, Compare) and node.fn == "SLOPE":
         points = [(e.timestamp, e.value) for e in by_kind.get(node.kind, ())
                   if e.value is not None]
         try:

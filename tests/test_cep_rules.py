@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from semdrought.cep import (
     Absent,
-    Aggregate,
     And,
     CepRule,
+    Compare,
     Not,
     Or,
     RuleSemanticError,
     RuleSyntaxError,
     Seq,
-    Threshold,
-    Trend,
     WindowSpec,
     parse_rule,
     parse_ruleset,
@@ -43,8 +41,8 @@ class TestParser:
         assert rule.name == "dry_spell"
         assert rule.window == WindowSpec(30 * 86400, 86400)
         assert rule.pattern == And((
-            Aggregate("AVG", PRECIP, "<", 0.5),
-            Trend(SOIL, "<", 0.0),
+            Compare("AVG", PRECIP, "<", 0.5),
+            Compare("SLOPE", SOIL, "<", 0.0),
         ))
         assert rule.emit == "DrySpell"
         assert rule.severity_weight == 0.6
@@ -54,7 +52,7 @@ class TestParser:
             "RULE y WHEN COUNT(IkDrierObservation) >= 3 WITHIN 90d "
             "EMIT IkDrierSignal SEVERITY 0.4", NS,
         )
-        assert rule.pattern == Aggregate("COUNT", "IkDrierObservation", ">=", 3.0)
+        assert rule.pattern == Compare("COUNT", "IkDrierObservation", ">=", 3.0)
         assert rule.window == WindowSpec(90 * 86400, 90 * 86400)
 
     def test_missing_step_means_tumbling(self):
@@ -87,7 +85,7 @@ class TestParser:
 
     def test_angle_bracket_iri_term(self):
         rule = parse_rule(f"RULE x WHEN <{PRECIP}> < 1 WITHIN 1d EMIT Y", NS)
-        assert rule.pattern == Threshold(PRECIP, "<", 1.0)
+        assert rule.pattern == Compare(None, PRECIP, "<", 1.0)
 
     def test_comments_and_newlines(self):
         text = (
@@ -135,7 +133,7 @@ class TestParser:
 
     def test_negative_constants(self):
         rule = parse_rule("RULE x WHEN SLOPE(a) < -0.25 WITHIN 1d EMIT Y", NS)
-        assert rule.pattern == Trend("a", "<", -0.25)
+        assert rule.pattern == Compare("SLOPE", "a", "<", -0.25)
 
 
 kinds = st.sampled_from(["A", "B", "IkDrierObservation", PRECIP, SOIL, TEMP])
@@ -145,10 +143,10 @@ constants = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(
 )
 
 leaf_patterns = st.one_of(
-    st.builds(Threshold, kind=kinds, cmp=comparators, constant=constants),
-    st.builds(Aggregate, fn=st.sampled_from(["AVG", "MIN", "MAX", "SUM", "COUNT"]),
+    st.builds(Compare, fn=st.none(), kind=kinds, cmp=comparators, constant=constants),
+    st.builds(Compare, fn=st.sampled_from(["AVG", "MIN", "MAX", "SUM", "COUNT"]),
               kind=kinds, cmp=comparators, constant=constants),
-    st.builds(Trend, kind=kinds, cmp=comparators, constant=constants),
+    st.builds(Compare, fn=st.just("SLOPE"), kind=kinds, cmp=comparators, constant=constants),
     st.builds(Seq, first=kinds, second=kinds),
     st.builds(Absent, kind=kinds),
 )
@@ -156,10 +154,10 @@ leaf_patterns = st.one_of(
 negated = st.one_of(
     leaf_patterns,
     st.builds(Not, st.one_of(
-        st.builds(Threshold, kind=kinds, cmp=comparators, constant=constants),
-        st.builds(Aggregate, fn=st.sampled_from(["AVG", "COUNT"]),
+        st.builds(Compare, fn=st.none(), kind=kinds, cmp=comparators, constant=constants),
+        st.builds(Compare, fn=st.sampled_from(["AVG", "COUNT"]),
                   kind=kinds, cmp=comparators, constant=constants),
-        st.builds(Trend, kind=kinds, cmp=comparators, constant=constants),
+        st.builds(Compare, fn=st.just("SLOPE"), kind=kinds, cmp=comparators, constant=constants),
     )),
 )
 

@@ -179,6 +179,8 @@ HTTP_STATUS_TABLE = [
      (400, error("OutOfSeason",
                  "indicator sifennefene_worms_scarce is out of season in month 1"))),
     (("POST", "/nope", b'{"region": "r1"}'), (404, error("NotFound", "no route /nope"))),
+    (("GET", "/forecast?region=r1&period=2020-6", None),
+     (400, error("BadRequest", "not a YYYY-MM period: '2020-6'"))),
 ]
 
 
@@ -228,9 +230,22 @@ CONFIG_EDITS = [
     ({"persistance_dir": "state"}, "persistance_dir"),
     ({"compile_ik_rules": False}, "compile_ik_rules"),
     ({"weights": {"soil": 0.3}}, "weights.soil"), ({"http": {"prot": 8080}}, "http.prot"),
+    ({"weights": {"precipitation": float("nan")}}, "weights"),
     ({"baseline": {"start": "2020-01-01T00:00:00Z", "end": "2021-01-01T00:00:00Z",
                    "strat": "2020-01-01T00:00:00Z"}}, "baseline.strat"),
 ]
+
+
+def edited_config(scenario_dir, target, edit):
+    """The path of a copy, under ``target``, of the scenario's config updated
+    with ``edit``, beside copies of the files it names."""
+    config = json.loads(scenario.config_path(scenario_dir).read_text())
+    config.update(edit)
+    path = target / "config.json"
+    path.write_text(json.dumps(config))
+    for name in ("alignment.json", "indicators.json", "detection.rules"):
+        shutil.copy(scenario_dir / name, target / name)
+    return path
 
 
 class TestMalformedConfig:
@@ -238,12 +253,7 @@ class TestMalformedConfig:
         """The exit code and stderr of a replay under a copy of the scenario's
         config updated with ``edit``; ``sibling``, a (file name, content) pair,
         replaces one of its files with bytes or with a JSON document."""
-        config = json.loads(scenario.config_path(scenario_dir).read_text())
-        config.update(edit or {})
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        for name in ("alignment.json", "indicators.json", "detection.rules"):
-            shutil.copy(scenario_dir / name, tmp_path / name)
+        path = edited_config(scenario_dir, tmp_path, edit or {})
         if sibling is not None:
             name, content = sibling
             if not isinstance(content, bytes):
@@ -283,6 +293,17 @@ class TestMalformedConfig:
                                      sibling=(file_name, content))
         assert code == 1
         assert f"configuration error: config field {field}: {file_name}: " in err
+
+
+class TestRegionWithoutReadings:
+    def test_forecast_gets_404(self, scenario_dir, tmp_path):
+        path = edited_config(scenario_dir, tmp_path,
+                             {"regions": {"r1": ["s1", "s2", "s3"], "r2": ["s4"]}})
+        pipeline = Pipeline(load_config(path))
+        pipeline.ingest_payload("csv", "s1,rain,5,mm,2020-06-03T00:00:00Z,,")
+        with running_server(pipeline) as port:
+            assert raw_request(port, "GET", "/forecast?region=r2") == (
+                404, error("NoData", "no observations for region r2"))
 
 
 class TestBadBaseIriForRules:
@@ -460,7 +481,7 @@ class TestDamagedState:
 
 
 class TestBadForecastPeriod:
-    @pytest.mark.parametrize("period", ["2022-13", "garbage", "9999-12"])
+    @pytest.mark.parametrize("period", ["2022-13", "garbage", "9999-12", "2022-1"])
     def test_exits_1(self, persisted, capsys, period):
         capsys.readouterr()
         assert cli_main(["forecast", "--config", str(scenario.config_path(persisted)),

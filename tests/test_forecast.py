@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semdrought.cep import Event, Firing
+from semdrought.cep import Firing
 from semdrought.forecast import (
     BadWeightsError,
     DviWeights,
@@ -247,10 +247,25 @@ class TestMakeBulletin:
             make_bulletin("r1", "2023-06", thin + period_obs,
                           build_climatology(thin), zero_signal, [], NS)
 
+    def test_period_without_soil_moisture(self):
+        history, period_obs = neutral_world()
+        dry = [o for o in period_obs if o.property != SOIL]
+        with pytest.raises(NoDataError, match="no soilMoisture observations for r1 in 2023-06"):
+            make_bulletin("r1", "2023-06", history + dry, build_climatology(history),
+                          zero_signal, [], NS)
+
+    def test_month_without_soil_baseline(self):
+        history, period_obs = neutral_world()
+        no_soil = [o for o in history if o.property != SOIL]
+        with pytest.raises(InsufficientBaselineError,
+                           match="no soil-moisture baseline for month 6"):
+            make_bulletin("r1", "2023-06", history + period_obs, build_climatology(no_soil),
+                          zero_signal, [], NS)
+
     def test_evidence_filtered_to_period(self):
         history, period_obs = neutral_world()
-        inside = Firing("dry", ts(2023, 6, 20), Event("DrySpell", ts(2023, 6, 20)))
-        outside = Firing("dry", ts(2023, 5, 20), Event("DrySpell", ts(2023, 5, 20)))
+        inside = Firing("dry", ts(2023, 6, 20), "DrySpell")
+        outside = Firing("dry", ts(2023, 5, 20), "DrySpell")
         bulletin = make_bulletin(
             "r1", "2023-06", history + period_obs, build_climatology(history),
             zero_signal, [inside, outside], NS,

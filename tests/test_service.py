@@ -1,13 +1,14 @@
 """Service wiring tests: config, pipeline, replay, persistence, HTTP, CLI."""
 
 import json
+import shutil
 import urllib.error
 import urllib.request
 
 import pytest
 
 import scenario
-from semdrought.forecast import Severity
+from semdrought.forecast import Severity, build_climatology, make_bulletin, period_bounds
 from semdrought.service import (
     InvalidConfigError,
     NotFoundError,
@@ -180,6 +181,28 @@ class TestForecastIntegration:
             and any(start <= f.window_end < end for start, end in spans)
         ]
         assert hits
+
+    def test_without_baseline_the_history_before_the_period_is_the_baseline(
+            self, scenario_dir, tmp_path):
+        target, manifest = scenario_dir
+        doc = json.loads(scenario.config_path(target).read_text())
+        del doc["baseline"], doc["persistence_dir"]
+        for name in (doc["alignment_table"], doc["indicators"], doc["rules"]):
+            shutil.copy(target / name, tmp_path / name)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        config = load_config(tmp_path / "config.json")
+        pipeline = Pipeline(config)
+        pipeline.replay(scenario.dataset_path(target))
+        period = manifest["engineered_periods"][0]
+        start, _ = period_bounds(period)
+        observations = extract_observations(pipeline.store, pipeline.ns)
+        climatology = build_climatology([o for o in observations if o.timestamp < start],
+                                        config.min_baseline_count)
+        expected = make_bulletin(
+            "r1", period, observations, climatology, pipeline.ik.signal,
+            [f for _, f in pipeline.firings], pipeline.ns, config.weights,
+            config.severity_thresholds, config.ik_window_days * 86400)
+        assert pipeline.bulletin("r1", period) == expected
 
     def test_unknown_region(self, replayed):
         _, _, pipeline, _ = replayed

@@ -326,6 +326,12 @@ class TestRestore:
         assert (pipeline.bulletin("r1", period).to_json_dict()
                 == live.bulletin("r1", period).to_json_dict())
 
+    def test_restored_firings_equal_the_live_ones(self, persisted, tmp_path):
+        target, live = persisted
+        pipeline = restored_copy(target, tmp_path / "copy")
+        assert len(live.firings) == 18
+        assert pipeline.firings == live.firings
+
     def test_post_of_persisted_reading_is_duplicate(self, persisted, tmp_path):
         target, live = persisted
         pipeline = restored_copy(target, tmp_path / "copy")
