@@ -58,12 +58,6 @@ class Event:
         if self.value is not None and not math.isfinite(self.value):
             raise ValueError("event value must be finite")
 
-    def attribute(self, name: str) -> str | None:
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class Firing:
@@ -247,6 +241,16 @@ class Engine:
             return []
         last = self._last_ts
         return self._settle(lambda rule, cursor: cursor - rule.window.length < last)
+
+    def preview(self) -> list[Firing]:
+        """What ``flush`` would return now, settled on a copy; commits nothing."""
+        copy = Engine(self.rules, self._last_ts)
+        for kind, columns in self._held.items():   # the copy's closures read its own lists
+            for mine, theirs in zip(copy._held[kind], columns):
+                mine[:] = theirs
+        copy._valueless.update(self._valueless)
+        copy._cursors = dict(self._cursors)
+        return copy.flush()
 
     def run(self, events: list[Event]) -> list[Firing]:
         firings = []

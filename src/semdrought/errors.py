@@ -13,4 +13,3 @@ class SemDroughtError(Exception):
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.code)
-        self.message = message or self.code

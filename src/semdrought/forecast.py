@@ -71,7 +71,6 @@ DEFAULT_SEVERITY_THRESHOLDS = (0.25, 0.5, 0.75)
 class ClimatologyEntry:
     mean: float
     std: float
-    count: int
     samples: list[float]    # sorted
     usable: bool
 
@@ -90,8 +89,8 @@ def build_climatology(
         samples.sort()
         std = statistics.stdev(samples) if len(samples) >= 2 else 0.0
         entries[key] = ClimatologyEntry(
-            mean=statistics.fmean(samples), std=std, count=len(samples),
-            samples=samples, usable=len(samples) >= min_count and std > 0.0,
+            mean=statistics.fmean(samples), std=std, samples=samples,
+            usable=len(samples) >= min_count and std > 0.0,
         )
     return entries
 
@@ -155,23 +154,15 @@ def classify_severity(
 
 
 @dataclass(frozen=True)
-class DroughtIndexReport:
+class ForecastBulletin:
     region: str
+    issued_at: int
     period: str                 # YYYY-MM
     z_precip: float
     sm_percentile: float
     z_temp: float
-    ik_value: float
     dvi: float
     severity: Severity
-
-
-@dataclass(frozen=True)
-class ForecastBulletin:
-    region: str
-    issued_at: int
-    period: str
-    report: DroughtIndexReport
     ik: IkSignal
     evidence: tuple[Firing, ...]
     summary: str
@@ -181,11 +172,11 @@ class ForecastBulletin:
             "region": self.region,
             "issued_at": format_utc_instant(self.issued_at),
             "period": self.period,
-            "dvi": round(self.report.dvi, 6),
-            "severity": self.report.severity.label,
-            "z_precip": round(self.report.z_precip, 6),
-            "sm_percentile": round(self.report.sm_percentile, 6),
-            "z_temp": round(self.report.z_temp, 6),
+            "dvi": round(self.dvi, 6),
+            "severity": self.severity.label,
+            "z_precip": round(self.z_precip, 6),
+            "sm_percentile": round(self.sm_percentile, 6),
+            "z_temp": round(self.z_temp, 6),
             "ik": {"value": round(self.ik.value, 6), "support": self.ik.support},
             "evidence": [
                 {"rule": f.rule, "at": format_utc_instant(f.window_end)}
@@ -276,11 +267,6 @@ def make_bulletin(
 
     dvi = compute_dvi(z_precip, sm_percentile, z_temp, signal.value, weights)
     severity = classify_severity(dvi, thresholds)
-    report = DroughtIndexReport(
-        region=region, period=period, z_precip=z_precip,
-        sm_percentile=sm_percentile, z_temp=z_temp, ik_value=signal.value,
-        dvi=dvi, severity=severity,
-    )
     evidence = tuple(f for f in firings if start <= f.window_end < end)
     summary = (
         f"{region} {period}: DVI {dvi:.3f} ({severity.label}); "
@@ -288,6 +274,7 @@ def make_bulletin(
         f"temp z {z_temp:+.2f}, ik {signal.value:+.2f} over {signal.support} reports"
     )
     return ForecastBulletin(
-        region=region, issued_at=end, period=period, report=report,
+        region=region, issued_at=end, period=period, z_precip=z_precip,
+        sm_percentile=sm_percentile, z_temp=z_temp, dvi=dvi, severity=severity,
         ik=signal, evidence=evidence, summary=summary,
     )

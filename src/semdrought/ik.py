@@ -13,7 +13,7 @@ from enum import Enum
 from .errors import SemDroughtError
 from .cep.engine import Event
 from .cep.rules import CepRule, duration_text, parse_rule
-from .model import Namespaces, month_of
+from .model import Namespaces, json_number, month_of
 
 DRIER_EVENT_KIND = "IkDrierObservation"
 WETTER_EVENT_KIND = "IkWetterObservation"
@@ -67,6 +67,8 @@ class IkIndicator:
     region: str
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"indicator id must be a string, not {type(self.id).__name__}")
         if not self.season or not all(1 <= m <= 12 for m in self.season):
             raise ValueError("season must be a non-empty set of months 1..12")
         object.__setattr__(self, "season", frozenset(self.season))
@@ -107,9 +109,6 @@ class IkRegistry:
         if indicator.id in self._indicators:
             raise DuplicateIdError(f"indicator id already registered: {indicator.id}")
         self._indicators[indicator.id] = indicator
-
-    def indicator(self, indicator_id: str) -> IkIndicator | None:
-        return self._indicators.get(indicator_id)
 
     @property
     def indicators(self) -> tuple[IkIndicator, ...]:
@@ -181,7 +180,7 @@ class IkRegistry:
             phenomenon=item.get("phenomenon", ""),
             kind=IndicatorKind(item["kind"]),
             valence=Valence[item["valence"].upper()],
-            weight=float(item["weight"]),
+            weight=json_number(item["weight"], "weight"),
             season=frozenset(item["season"]),
             region=item.get("region", ""),
         ) for item in payload)

@@ -17,6 +17,7 @@ from .model import (
     Iri,
     Vocabulary,
     canonical_double,
+    json_number,
     mint_observation_iri,
     parse_utc_instant,
 )
@@ -27,6 +28,10 @@ CSV_COLUMNS = ("sensor_id", "property", "value", "unit", "timestamp", "lat", "lo
 
 class IngestError(SemDroughtError):
     code = "IngestError"
+
+    def __init__(self, message: str = "", term: str = ""):
+        super().__init__(message)
+        self.term = term    # the raw term that could not be aligned, if any
 
 
 class ColumnCountError(IngestError):
@@ -56,17 +61,9 @@ class MissingElementError(IngestError):
 class UnknownTermError(IngestError):
     code = "UnknownTerm"
 
-    def __init__(self, message: str = "", term: str = ""):
-        super().__init__(message)
-        self.term = term
-
 
 class UnknownUnitError(IngestError):
     code = "UnknownUnit"
-
-    def __init__(self, message: str = "", term: str = ""):
-        super().__init__(message)
-        self.term = term
 
 
 class UnitMismatchError(IngestError):
@@ -95,7 +92,6 @@ class NonFiniteError(IngestError):
 
 @dataclass(frozen=True)
 class RawObservation:
-    source_format: str        # csv | json | xml
     sensor_id_raw: str
     property_raw: str
     value_raw: str
@@ -120,7 +116,7 @@ def parse_csv_line(line: str) -> RawObservation:
     fields = [f.strip() for f in line.split(",")]
     if len(fields) != len(CSV_COLUMNS):
         raise ColumnCountError(f"expected {len(CSV_COLUMNS)} columns, got {len(fields)}")
-    return RawObservation("csv", *fields)
+    return RawObservation(*fields)
 
 
 def _json_scalar(value, key: str, allow_number: bool) -> str:
@@ -147,7 +143,6 @@ def parse_json_observation(document: str) -> RawObservation:
         if key not in payload:
             raise MissingKeyError(f"missing key {key}")
     return RawObservation(
-        source_format="json",
         sensor_id_raw=_json_scalar(payload["sensor_id"], "sensor_id", allow_number=False),
         property_raw=_json_scalar(payload["property"], "property", allow_number=False),
         value_raw=_json_scalar(payload["value"], "value", allow_number=True),
@@ -182,7 +177,6 @@ def parse_xml_observation(document: str) -> RawObservation:
         raise MissingElementError("result element lacks a uom attribute")
 
     return RawObservation(
-        source_format="xml",
         sensor_id_raw=text_of("procedure", required=True),
         property_raw=text_of("observedProperty", required=True),
         value_raw=(result.text or "").strip(),
@@ -219,6 +213,13 @@ def _norm(key: str) -> str:
     return key.strip().lower()
 
 
+def _add_new(table: dict, what: str, raw: str, value) -> None:
+    key = _norm(raw)
+    if key in table:
+        raise ValueError(f"duplicate {what} entry under normalization: {raw!r}")
+    table[key] = value
+
+
 class AlignmentTable:
     """Raw vocabulary to canonical IRIs; lookups are trimmed, case-insensitive."""
 
@@ -230,26 +231,17 @@ class AlignmentTable:
         self._sensors: dict[str, SensorEntry] = {}
 
     def add_term(self, raw: str, property_iri: Iri) -> None:
-        key = _norm(raw)
-        if key in self._terms:
-            raise ValueError(f"duplicate term entry under normalization: {raw!r}")
         if property_iri not in self.vocabulary.property_units:
             raise ValueError(f"not a canonical property: {property_iri.value}")
-        self._terms[key] = property_iri
+        _add_new(self._terms, "term", raw, property_iri)
 
     def add_unit(self, raw: str, entry: UnitEntry) -> None:
-        key = _norm(raw)
-        if key in self._units:
-            raise ValueError(f"duplicate unit entry under normalization: {raw!r}")
         if entry.iri not in self.vocabulary.property_units.values():
             raise ValueError(f"unit {entry.iri.value} is canonical for no property")
-        self._units[key] = entry
+        _add_new(self._units, "unit", raw, entry)
 
     def add_sensor(self, raw: str, entry: SensorEntry) -> None:
-        key = _norm(raw)
-        if key in self._sensors:
-            raise ValueError(f"duplicate sensor entry under normalization: {raw!r}")
-        self._sensors[key] = entry
+        _add_new(self._sensors, "sensor", raw, entry)
 
     def term(self, raw: str) -> Iri | None:
         return self._terms.get(_norm(raw))
@@ -280,14 +272,14 @@ class AlignmentTable:
         for raw, spec in payload.get("units", {}).items():
             table.add_unit(raw, UnitEntry(
                 iri=ns.iri(spec["iri"]),
-                scale=float(spec.get("scale", 1.0)),
-                offset=float(spec.get("offset", 0.0)),
+                scale=json_number(spec.get("scale", 1.0), "scale"),
+                offset=json_number(spec.get("offset", 0.0), "offset"),
             ))
         for raw, spec in payload.get("sensors", {}).items():
             table.add_sensor(raw, SensorEntry(
                 iri=ns.iri(spec["iri"]),
-                lat=float(spec["lat"]) if "lat" in spec else None,
-                lon=float(spec["lon"]) if "lon" in spec else None,
+                lat=json_number(spec["lat"], "lat") if "lat" in spec else None,
+                lon=json_number(spec["lon"], "lon") if "lon" in spec else None,
             ))
         return table
 

@@ -134,6 +134,13 @@ def canonical_double(value: float) -> str:
     return repr(value)
 
 
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; TypeError for a boolean, a string or null."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a number, not {type(value).__name__}")
+    return float(value)
+
+
 def format_utc_instant(timestamp: int) -> str:
     """Epoch seconds to ISO-8601 UTC with mandatory Z suffix."""
     dt = datetime.fromtimestamp(int(timestamp), tz=timezone.utc)

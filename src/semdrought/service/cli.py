@@ -143,10 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotFoundError, InvalidConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except SemDroughtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except OSError as exc:
+    except (SemDroughtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

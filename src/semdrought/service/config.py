@@ -15,7 +15,7 @@ config directory can be moved wholesale.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..cep.rules import CepRule, parse_ruleset
@@ -23,7 +23,8 @@ from ..errors import SemDroughtError
 from ..forecast import DEFAULT_SEVERITY_THRESHOLDS, BadWeightsError, DviWeights
 from ..ik import IkIndicator, IkRegistry, compile_indicator_rules
 from ..ingest import AlignmentTable
-from ..model import DEFAULT_BASE_IRI, ModelError, Namespaces, Vocabulary, parse_utc_instant
+from ..model import (DEFAULT_BASE_IRI, ModelError, Namespaces, Vocabulary, json_number,
+                     parse_utc_instant)
 
 
 class NotFoundError(SemDroughtError):
@@ -36,7 +37,6 @@ class InvalidConfigError(SemDroughtError):
     def __init__(self, fieldname: str, reason: str):
         super().__init__(f"config field {fieldname}: {reason}")
         self.fieldname = fieldname
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def load_config(path: str | Path) -> Config:
         # the wrong JSON type, a missing key, or a value out of range
         try:
             return parse(resolved.read_text(encoding="utf-8"))
-        except (AttributeError, KeyError, TypeError, ValueError, SemDroughtError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+                SemDroughtError) as exc:
             raise InvalidConfigError(name, f"{resolved.name}: {type(exc).__name__}: {exc}")
 
     try:
@@ -133,21 +134,19 @@ def load_config(path: str | Path) -> Config:
     if not isinstance(weights_raw, dict):
         raise InvalidConfigError("weights", "expected an object")
     try:
-        weights = DviWeights(
-            precipitation=float(weights_raw.pop("precipitation", 0.4)),
-            soil_moisture=float(weights_raw.pop("soil_moisture", 0.3)),
-            temperature=float(weights_raw.pop("temperature", 0.1)),
-            ik=float(weights_raw.pop("ik", 0.2)),
-        )
-    except (BadWeightsError, ValueError, TypeError) as exc:
+        weights = DviWeights(**{f.name: json_number(weights_raw.pop(f.name, f.default), f.name)
+                                for f in fields(DviWeights)})
+    except (BadWeightsError, TypeError, OverflowError) as exc:
         raise InvalidConfigError("weights", str(exc))
     unread(weights_raw, "weights.")
 
     thresholds_raw = payload.pop("severity_thresholds", list(DEFAULT_SEVERITY_THRESHOLDS))
-    if (not isinstance(thresholds_raw, list) or len(thresholds_raw) != 3
-            or not all(isinstance(t, (int, float)) for t in thresholds_raw)):
+    try:
+        thresholds = tuple(json_number(t, "threshold") for t in thresholds_raw)
+    except (TypeError, OverflowError):
+        thresholds = ()
+    if len(thresholds) != 3:     # also for a map, whose keys are strings
         raise InvalidConfigError("severity_thresholds", "expected three numbers")
-    thresholds = tuple(float(t) for t in thresholds_raw)
     if not 0 <= thresholds[0] < thresholds[1] < thresholds[2] <= 1:
         raise InvalidConfigError("severity_thresholds", "must ascend within [0, 1]")
 

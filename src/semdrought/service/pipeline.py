@@ -38,6 +38,7 @@ from ..model import (
     Iri,
     Triple,
     format_utc_instant,
+    json_number,
     observation_to_triples,
     parse_utc_instant,
     triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
@@ -225,8 +226,7 @@ class Pipeline:
         return build_climatology(history, self.config.min_baseline_count)
 
     def bulletin(self, region: str, period: str | None = None) -> ForecastBulletin:
-        """Forecast for a region period; drains engines so evidence is current."""
-        self.flush_engines()
+        """Forecast for a region period; its evidence previews the open windows."""
         with self.lock:
             _check_region(region, self.config.regions)
             if period is None:
@@ -238,7 +238,8 @@ class Pipeline:
                 observations=list(self._observations[region]),
                 climatology=self._climatology(region, start),
                 ik_signal_fn=self.ik.signal,
-                firings=[f for r, f in self._firings if r == region],
+                firings=[f for r, f in self._firings if r == region]
+                + self._engines[region].preview(),
                 ns=self.ns,
                 weights=self.config.weights,
                 thresholds=self.config.severity_thresholds,
@@ -387,7 +388,7 @@ def _ik_observation(payload, regions) -> IkObservation:
             indicator_id=str(payload["indicator_id"]),
             timestamp=parse_timestamp(str(payload["timestamp"])),
             region=str(payload["region"]),
-            confidence=float(payload["confidence"]),
+            confidence=json_number(payload["confidence"], "confidence"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IngestError(f"bad indigenous-knowledge payload: {exc}")

@@ -191,10 +191,9 @@ class TripleStore:
         """The triples of each non-blank line of an N-Triples document;
         raises ParseError, with its line number, on the first bad line."""
         store = cls()
-        terms: dict[str, Term] = {}     # each distinct term text is parsed once
         for number, line in enumerate(text.splitlines(), start=1):
             if line.strip():
-                store.insert(_parse_line(line, number, terms))
+                store.insert(_parse_line(line, number))
         return store
 
 
@@ -250,17 +249,11 @@ def _parse_term(text: str, number: int) -> Term:
         raise ParseError(number, str(exc))
 
 
-def _parse_line(line: str, number: int, terms: dict[str, Term]) -> Triple:
+def _parse_line(line: str, number: int) -> Triple:
     match = _LINE.match(line)
     if match is None:
         raise ParseError(number, f"not a triple line: {line!r}")
-    parsed = []
-    for text in match.group("s", "p", "o"):
-        term = terms.get(text)
-        if term is None:
-            term = terms[text] = _parse_term(text, number)
-        parsed.append(term)
-    return Triple(*parsed)
+    return Triple(*(_parse_term(text, number) for text in match.group("s", "p", "o")))
 
 
 def builtin_rules(ns: Namespaces) -> list[InferenceRule]:

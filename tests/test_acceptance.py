@@ -347,13 +347,13 @@ def test_criterion_6_end_to_end_drought_scenario(drought_world):
 
         for period in manifest["engineered_periods"]:
             bulletin = pipeline.bulletin("r1", period)
-            assert bulletin.report.severity >= Severity.WARNING, (
-                f"{period}: {bulletin.report.severity.label} dvi={bulletin.report.dvi:.3f}"
+            assert bulletin.severity >= Severity.WARNING, (
+                f"{period}: {bulletin.severity.label} dvi={bulletin.dvi:.3f}"
             )
         for period in manifest["baseline_periods"]:
             bulletin = pipeline.bulletin("r1", period)
-            assert bulletin.report.severity <= Severity.WATCH, (
-                f"{period}: {bulletin.report.severity.label} dvi={bulletin.report.dvi:.3f}"
+            assert bulletin.severity <= Severity.WATCH, (
+                f"{period}: {bulletin.severity.label} dvi={bulletin.dvi:.3f}"
             )
 
         from semdrought.forecast import period_bounds

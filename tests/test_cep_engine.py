@@ -616,3 +616,24 @@ class TestFlushInterleaving:
             got.extend(full_firings(engine.flush()))
             expected.extend(reference.flush())
             assert got == expected, f"trial {trial} diverged"
+
+
+class TestPreview:
+    def test_random_previews_match_a_twin_flush_and_commit_nothing(self):
+        rng = random.Random(20261019)
+        for trial in range(12):
+            rules = random_rules(rng, rng.randint(1, 10))
+            stream = random_stream(rng, rng.randint(10, 300))
+            engine = Engine(rules)
+            got = []
+            for i, event in enumerate(stream):
+                got.extend(engine.push_event(event))
+                if rng.random() < 0.1:
+                    twin = Engine(rules)
+                    for earlier in stream[:i + 1]:
+                        twin.push_event(earlier)
+                    assert full_firings(engine.preview()) == full_firings(twin.flush()), (
+                        f"trial {trial} diverged at event {i}")
+            got.extend(engine.flush())
+            assert full_firings(got) == full_firings(Engine(rules).run(stream)), (
+                f"trial {trial} diverged")

@@ -231,6 +231,11 @@ CONFIG_EDITS = [
     ({"compile_ik_rules": False}, "compile_ik_rules"),
     ({"weights": {"soil": 0.3}}, "weights.soil"), ({"http": {"prot": 8080}}, "http.prot"),
     ({"weights": {"precipitation": float("nan")}}, "weights"),
+    ({"weights": {"soil_moisture": "0.3"}}, "weights"),
+    ({"weights": {"precipitation": 0.7, "soil_moisture": False}}, "weights"),
+    ({"weights": {"ik": None}}, "weights"),
+    ({"severity_thresholds": [False, 0.5, True]}, "severity_thresholds"),
+    ({"severity_thresholds": ["0.25", 0.5, 0.75]}, "severity_thresholds"),
     ({"baseline": {"start": "2020-01-01T00:00:00Z", "end": "2021-01-01T00:00:00Z",
                    "strat": "2020-01-01T00:00:00Z"}}, "baseline.strat"),
 ]
@@ -271,22 +276,39 @@ class TestMalformedConfig:
         assert code == 1
         assert f"configuration error: config field {field}: " in err
 
+    @pytest.mark.parametrize("edit, field", [
+        ({"weights": {"ik": 10 ** 400}}, "weights"),
+        ({"severity_thresholds": [0.25, 0.5, 10 ** 400]}, "severity_thresholds"),
+    ], ids=["weight", "threshold"])
+    def test_an_integer_past_the_float_range_exits_1(self, scenario_dir, tmp_path, capsys,
+                                                     edit, field):
+        self.test_exits_1(scenario_dir, tmp_path, capsys, edit, field)
+
     @pytest.mark.parametrize("field, file_name, content", [
         ("indicators", "indicators.json", [{**INDICATOR, "kind": "bogus"}]),
         ("indicators", "indicators.json", {"items": [INDICATOR]}),
         ("indicators", "indicators.json",
          [{key: value for key, value in INDICATOR.items() if key != "kind"}]),
         ("indicators", "indicators.json", [{**INDICATOR, "weight": 5}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "weight": True}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "weight": "0.8"}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "weight": 10 ** 400}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "id": 7}]),
         ("alignment_table", "alignment.json",
          {**scenario.ALIGNMENT, "terms": {"rain": "ex:frogs"}}),
         ("alignment_table", "alignment.json",
          {**scenario.ALIGNMENT, "units": {"mm": {"scale": 1.0}}}),
+        ("alignment_table", "alignment.json", {**scenario.ALIGNMENT, "units": {
+            "mm": {"iri": "ex:millimetre", "scale": True}}}),
+        ("alignment_table", "alignment.json", {**scenario.ALIGNMENT, "units": {
+            "mm": {"iri": "ex:millimetre", "offset": "0"}}}),
         ("alignment_table", "alignment.json", [scenario.ALIGNMENT]),
         ("alignment_table", "alignment.json", b'{"terms": {"\xff": "ex:precipitation"}}'),
         ("rules", "detection.rules", b"\xff"),
     ], ids=["bogus_kind", "indicators_not_array", "missing_kind", "weight_out_of_range",
-            "non_canonical_property", "unit_without_iri", "alignment_array",
-            "alignment_not_utf8", "rules_not_utf8"])
+            "weight_boolean", "weight_string", "weight_overflows", "id_number",
+            "non_canonical_property", "unit_without_iri", "scale_boolean", "offset_string",
+            "alignment_array", "alignment_not_utf8", "rules_not_utf8"])
     def test_damaged_sibling_exits_1(self, scenario_dir, tmp_path, capsys,
                                      field, file_name, content):
         code, err = self.replay_exit(scenario_dir, tmp_path, capsys,
@@ -354,6 +376,18 @@ class TestOversizedIkConfidence:
         body = ('{"indicator_id": "ants_nest_high", "timestamp": "2020-06-01T00:00:00Z", '
                 '"region": "r1", "confidence": 1' + "0" * 400 + "}")
         status, reply = raw_request(port, "POST", "/ik", body.encode())
+        assert status == 400
+        assert reply["error"] == "IngestError"
+        assert pipeline.ik.observations == ()
+
+
+class TestNonNumericIkConfidence:
+    @pytest.mark.parametrize("confidence", [True, "0.5", None])
+    def test_post_gets_400(self, server, confidence):
+        port, pipeline = server
+        status, reply = raw_request(port, "POST", "/ik", json.dumps(
+            {**PRE_EPOCH_IK, "timestamp": "2020-06-01T00:00:00Z",
+             "confidence": confidence}).encode())
         assert status == 400
         assert reply["error"] == "IngestError"
         assert pipeline.ik.observations == ()
@@ -441,6 +475,8 @@ class TestDamagedState:
         ("firings.jsonl", lambda data: data + b'{"region": "r1"}\n', "firings.jsonl"),
         ("ik_log.jsonl", append_row(lambda row: row.__setitem__("region", "atlantis")),
          "unknown region: atlantis"),
+        ("ik_log.jsonl", append_row(lambda row: row.__setitem__("confidence", True)),
+         "confidence must be a number, not bool"),
         ("firings.jsonl", append_row(lambda row: row.__setitem__("region", "atlantis")),
          "unknown region: atlantis"),
         ("observations.jsonl", append_row(lambda row: row.__setitem__(6, 95)),

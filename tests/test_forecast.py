@@ -57,7 +57,7 @@ class TestClimatology:
         entry = build_climatology(history)[(PRECIP.value, 1)]
         assert entry.mean == 15.0
         assert entry.std == pytest.approx(math.sqrt(50.0), abs=1e-9)
-        assert entry.count == 2
+        assert len(entry.samples) == 2
         assert not entry.usable          # n below the minimum
 
     def test_identical_samples_unusable(self):
@@ -235,10 +235,10 @@ class TestMakeBulletin:
             "r1", "2023-06", history + period_obs, build_climatology(history),
             zero_signal, [], NS,
         )
-        assert bulletin.report.dvi == pytest.approx(0.25, abs=1e-9)
-        assert bulletin.report.severity in (Severity.NONE, Severity.WATCH)
-        assert bulletin.report.z_precip == pytest.approx(0.0, abs=1e-9)
-        assert bulletin.report.sm_percentile == 0.5
+        assert bulletin.dvi == pytest.approx(0.25, abs=1e-9)
+        assert bulletin.severity in (Severity.NONE, Severity.WATCH)
+        assert bulletin.z_precip == pytest.approx(0.0, abs=1e-9)
+        assert bulletin.sm_percentile == 0.5
 
     def test_insufficient_baseline(self):
         history, period_obs = neutral_world()

@@ -50,7 +50,7 @@ class TestRegistry:
     def test_register_and_query(self):
         registry = IkRegistry()
         registry.register_indicator(indicator())
-        assert registry.indicator("lehota_frogs_silent").weight == 0.8
+        assert registry.indicators[0].weight == 0.8
 
     def test_duplicate_id(self):
         registry = IkRegistry()
@@ -79,7 +79,7 @@ class TestRegistry:
             "region": "free_state",
         }])
         registry = IkRegistry.from_json(doc)
-        ind = registry.indicator("lehota_frogs_silent")
+        (ind,) = registry.indicators
         assert ind.valence is Valence.DRIER
         assert ind.season == frozenset({9, 10, 11})
 
@@ -121,7 +121,7 @@ class TestRecordObservation:
 
     def test_event_carries_region(self):
         event = self.registry.record_observation(observation())
-        assert event.attribute("region") == "free_state"
+        assert dict(event.attributes)["region"] == "free_state"
 
     def test_rejected_event_is_not_logged(self):
         september_1969 = -9590400

@@ -65,7 +65,6 @@ class TestCsvParser:
         raw = parse_csv_line("s1,soil_hum,23.5,%,2023-01-01T00:00:00Z,-29.1,26.2")
         assert raw.property_raw == "soil_hum"
         assert raw.value_raw == "23.5"
-        assert raw.source_format == "csv"
 
     def test_wrong_arity(self):
         with pytest.raises(ColumnCountError):
@@ -237,7 +236,7 @@ class TestAlignmentTable:
 
 def raw_csv(**kw) -> RawObservation:
     defaults = dict(
-        source_format="csv", sensor_id_raw="s1", property_raw="soil_hum",
+        sensor_id_raw="s1", property_raw="soil_hum",
         value_raw="23.5", unit_raw="%", timestamp_raw="2023-01-01T00:00:00Z",
         lat_raw="-29.1", lon_raw="26.2",
     )

@@ -6,8 +6,11 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scenario
+from semdrought.errors import SemDroughtError
 from semdrought.forecast import Severity, build_climatology, make_bulletin, period_bounds
 from semdrought.service import (
     InvalidConfigError,
@@ -163,13 +166,13 @@ class TestForecastIntegration:
         _, manifest, pipeline, _ = replayed
         for period in manifest["engineered_periods"]:
             bulletin = pipeline.bulletin("r1", period)
-            assert bulletin.report.severity >= Severity.WARNING, period
+            assert bulletin.severity >= Severity.WARNING, period
 
     def test_baseline_months_at_most_watch(self, replayed):
         _, manifest, pipeline, _ = replayed
         for period in manifest["baseline_periods"]:
             bulletin = pipeline.bulletin("r1", period)
-            assert bulletin.report.severity <= Severity.WATCH, period
+            assert bulletin.severity <= Severity.WATCH, period
 
     def test_ik_rule_fired_during_drought(self, replayed):
         _, manifest, pipeline, _ = replayed
@@ -273,6 +276,72 @@ class TestDeterminismAndPersistence:
         firings_r = [(r, f.rule, f.window_end) for r, f in via_replay.firings]
         firings_d = [(r, f.rule, f.window_end) for r, f in direct.firings]
         assert firings_r == firings_d
+
+
+def feed(pipeline: Pipeline, lines: list[str]) -> None:
+    """Each ``format|payload`` line through the ingestion path, as replay
+    feeds it, rejections skipped."""
+    for line in lines:
+        tag, _, payload = line.partition("|")
+        try:
+            if tag == "ik":
+                pipeline.ingest_ik_json(payload)
+            else:
+                pipeline.ingest_payload(tag, payload)
+        except SemDroughtError:
+            pass
+
+
+def read_bulletin(pipeline: Pipeline):
+    """The latest r1 bulletin as JSON, or the code of the error it raises."""
+    try:
+        return pipeline.bulletin("r1").to_json_dict()
+    except SemDroughtError as exc:
+        return exc.code
+
+
+class TestReadsDoNotChangeFirings:
+    """A bulletin read settles open windows on a copy of the engine, so reads
+    interleaved into a stream change neither what it commits nor what a
+    later read serves."""
+
+    @pytest.fixture(scope="class")
+    def stream(self, scenario_dir):
+        target, _ = scenario_dir
+        lines = [line for line in scenario.dataset_path(target).read_text().splitlines()
+                 if line.strip()]
+        uninterrupted = Pipeline(load_config(scenario.config_path(target)))
+        feed(uninterrupted, lines)
+        uninterrupted.flush_engines()
+        return target, lines, uninterrupted.firings
+
+    @pytest.mark.parametrize("every", [7, 23, 97])
+    def test_periodic_reads_commit_what_an_uninterrupted_run_commits(self, stream, every):
+        target, lines, expected = stream
+        pipeline = Pipeline(load_config(scenario.config_path(target)))
+        for start in range(0, len(lines), every):
+            feed(pipeline, lines[start:start + every])
+            read_bulletin(pipeline)
+        pipeline.flush_engines()
+        assert len(expected) == 18
+        assert pipeline.firings == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_random_reads_match_a_twin_without_reads(self, stream, data):
+        target, lines, expected = stream
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=5)))
+        pipeline = Pipeline(load_config(scenario.config_path(target)))
+        fed = 0
+        for cut in cuts:
+            feed(pipeline, lines[fed:cut])
+            fed = cut
+            twin = Pipeline(load_config(scenario.config_path(target)))
+            feed(twin, lines[:cut])
+            assert read_bulletin(pipeline) == read_bulletin(twin), f"read after line {cut}"
+        feed(pipeline, lines[fed:])
+        pipeline.flush_engines()
+        assert pipeline.firings == expected
 
 
 @pytest.fixture(scope="module")
