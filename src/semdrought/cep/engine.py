@@ -9,7 +9,9 @@ Semantics pinned here:
 * A boundary b is evaluated once all events with timestamp <= b are in:
   push_event settles boundaries strictly below the incoming timestamp,
   and flush() drains every remaining boundary whose window reaches back
-  before the last event seen. A window covers (b - length, b].
+  before the last event seen; preview(before) returns what flush() would
+  fire below ``before`` without committing it. A window covers
+  (b - length, b].
 * Events a firing emits are re-injected at the window end and become
   visible to later boundaries only (one cascade level per timestamp).
 * The engine holds, per event kind that some rule's pattern names,
@@ -239,18 +241,24 @@ class Engine:
         """Drain every boundary whose window starts before the last event."""
         if not self._cursors:
             return []
-        last = self._last_ts
-        return self._settle(lambda rule, cursor: cursor - rule.window.length < last)
+        return self._settle(self._drained_before(math.inf))
 
-    def preview(self) -> list[Firing]:
-        """What ``flush`` would return now, settled on a copy; commits nothing."""
+    def preview(self, before: int) -> list[Firing]:
+        """The firings ``flush`` would return now with a window end before
+        ``before``, settled on a copy; commits nothing. Boundaries settle in
+        ascending order and an emitted event is seen only by later ones, so
+        the boundaries at or past ``before`` are left unsettled, and with none
+        earlier pending nothing is copied."""
+        due = self._drained_before(before)
+        if not self._cursors or not any(due(r, self._cursors[r.name]) for r in self.rules):
+            return []
         copy = Engine(self.rules, self._last_ts)
         for kind, columns in self._held.items():   # the copy's closures read its own lists
             for mine, theirs in zip(copy._held[kind], columns):
                 mine[:] = theirs
         copy._valueless.update(self._valueless)
         copy._cursors = dict(self._cursors)
-        return copy.flush()
+        return copy._settle(due)
 
     def run(self, events: list[Event]) -> list[Firing]:
         firings = []
@@ -260,6 +268,12 @@ class Engine:
         return firings
 
     # -- internals -----------------------------------------------------------
+
+    def _drained_before(self, before):
+        """Whether ``flush`` settles a rule's boundary ``cursor`` below
+        ``before``: its window starts before the last event."""
+        last = self._last_ts
+        return lambda rule, cursor: cursor < before and cursor - rule.window.length < last
 
     def _settle(self, eligible) -> list[Firing]:
         firings: list[Firing] = []

@@ -69,8 +69,8 @@ class IkIndicator:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise TypeError(f"indicator id must be a string, not {type(self.id).__name__}")
-        if not self.season or not all(1 <= m <= 12 for m in self.season):
-            raise ValueError("season must be a non-empty set of months 1..12")
+        if not self.season or not all(type(m) is int and 1 <= m <= 12 for m in self.season):
+            raise ValueError("season must be a non-empty set of integer months 1..12")
         object.__setattr__(self, "season", frozenset(self.season))
 
 
@@ -181,7 +181,7 @@ class IkRegistry:
             kind=IndicatorKind(item["kind"]),
             valence=Valence[item["valence"].upper()],
             weight=json_number(item["weight"], "weight"),
-            season=frozenset(item["season"]),
+            season=item["season"],
             region=item.get("region", ""),
         ) for item in payload)
 

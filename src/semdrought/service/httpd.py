@@ -10,10 +10,16 @@ same error can mean different things: an unknown region is the missing
 resource of a GET (404) but a bad field of a POST (400). An error gets
 ``{"error": <code>, "detail": <message>}`` (plus ``term`` for an unaligned
 term), and an exception the table does not map gets a JSON 500
-``{"error": "Internal", ...}`` on a connection that stays usable.
+``{"error": "Internal", ...}`` on a connection that stays usable. A
+request the stdlib's parser refuses (a bad request line, an unsupported
+method) gets the same JSON shape, with its status named in ``error``. Any
+reply after which the connection closes says ``Connection: close``: those,
+and the replies to a body that cannot be read in step (411 for a
+``Transfer-Encoding``, 413, and 400 for a bad ``Content-Length``).
 """
 
 import json
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -35,11 +41,15 @@ class PayloadTooLargeError(SemDroughtError):
     code = "PayloadTooLarge"
 
 
+class LengthRequiredError(SemDroughtError):
+    code = "LengthRequired"
+
+
 # (error class, status) per method, the first match wins
 GET_STATUSES = ((BadRequestError, 400), (UnknownRegionError, 404), (NoDataError, 404),
                 (NotFoundError, 404), (InsufficientBaselineError, 503))
-POST_STATUSES = ((OutOfOrderError, 409), (PayloadTooLargeError, 413), (NotFoundError, 404),
-                 (SemDroughtError, 400))
+POST_STATUSES = ((OutOfOrderError, 409), (PayloadTooLargeError, 413), (LengthRequiredError, 411),
+                 (NotFoundError, 404), (SemDroughtError, 400))
 
 
 class ApiServer(ThreadingHTTPServer):
@@ -60,12 +70,28 @@ class ApiHandler(BaseHTTPRequestHandler):
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's reply to a request it cannot route (a bad request
+        line, an unsupported method, oversized headers), as JSON, on a
+        connection that then closes."""
+        status = HTTPStatus(code)
+        self.close_connection = True
+        self._send(status, {"error": status.name.title().replace("_", ""),
+                            "detail": message or status.phrase})
 
     def _read_body(self) -> str:
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True    # the body's end is unknown
+            raise LengthRequiredError(
+                "a request body needs a Content-Length, not Transfer-Encoding")
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal():
             self.close_connection = True    # the body's end is unknown

@@ -101,6 +101,8 @@ class Pipeline:
         }
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
+        # region -> (baseline window, its climatology), built by the first read
+        self._climatologies: dict[str, tuple[tuple[int, int], dict]] = {}
         self.lock = threading.RLock()
 
     # -- ingestion ------------------------------------------------------------
@@ -142,6 +144,9 @@ class Pipeline:
             firings = self._engines[region].push_event(event)  # may reject; state untouched
             self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
+            kept = self._climatologies.get(region)
+            if kept is not None and kept[0][0] <= obs.timestamp < kept[0][1]:
+                del self._climatologies[region]
             self._view = None
             self._log_firings(region, firings)
         return obs, firings
@@ -218,28 +223,36 @@ class Pipeline:
 
     def _climatology(self, region: str,
                      period_start: int) -> dict[tuple[str, int], ClimatologyEntry]:
+        """The climatology of the region's readings in the baseline window,
+        kept until a reading inside the window is logged; a climatology is
+        a function of the multiset of those readings alone."""
         window = self.config.baseline_window
         if window is None:
             window = (0, period_start)
-        history = [o for o in self._observations[region]
-                   if window[0] <= o.timestamp < window[1]]
-        return build_climatology(history, self.config.min_baseline_count)
+        kept = self._climatologies.get(region)
+        if kept is None or kept[0] != window:
+            history = [o for o in self._observations[region]
+                       if window[0] <= o.timestamp < window[1]]
+            kept = self._climatologies[region] = (
+                window, build_climatology(history, self.config.min_baseline_count))
+        return kept[1]
 
     def bulletin(self, region: str, period: str | None = None) -> ForecastBulletin:
-        """Forecast for a region period; its evidence previews the open windows."""
+        """Forecast for a region period; its evidence previews the open
+        windows that end inside the period."""
         with self.lock:
             _check_region(region, self.config.regions)
             if period is None:
                 period = self._latest_period(region)
-            start, _ = period_bounds(period)
+            start, end = period_bounds(period)
             return make_bulletin(
                 region=region,
                 period=period,
-                observations=list(self._observations[region]),
+                observations=self._observations[region],
                 climatology=self._climatology(region, start),
                 ik_signal_fn=self.ik.signal,
                 firings=[f for r, f in self._firings if r == region]
-                + self._engines[region].preview(),
+                + self._engines[region].preview(end),
                 ns=self.ns,
                 weights=self.config.weights,
                 thresholds=self.config.severity_thresholds,
@@ -370,6 +383,7 @@ class Pipeline:
                 times.extend(o.timestamp for o in log)
                 self._engines[region] = Engine(self.rules, max(times, default=None))
             self._view = None
+            self._climatologies = {}
             self.ik = ik
             self._firings = firings
 

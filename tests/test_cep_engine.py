@@ -632,8 +632,17 @@ class TestPreview:
                     twin = Engine(rules)
                     for earlier in stream[:i + 1]:
                         twin.push_event(earlier)
-                    assert full_firings(engine.preview()) == full_firings(twin.flush()), (
-                        f"trial {trial} diverged at event {i}")
+                    flushed = twin.flush()
+                    # past every boundary flush settles, inside and beyond the
+                    # stream, and at a window end
+                    bounds = [event.timestamp + DAY]
+                    bounds += [rng.randint(stream[0].timestamp, stream[-1].timestamp + DAY)
+                               for _ in range(3)]
+                    bounds += [f.window_end for f in rng.sample(flushed, min(2, len(flushed)))]
+                    for before in bounds:
+                        assert full_firings(engine.preview(before)) == full_firings(
+                            [f for f in flushed if f.window_end < before]), (
+                            f"trial {trial} diverged at event {i} before {before}")
             got.extend(engine.flush())
             assert full_firings(got) == full_firings(Engine(rules).run(stream)), (
                 f"trial {trial} diverged")

@@ -1,7 +1,8 @@
-"""Malformed input at the service's edges: HTTP request bodies and routes,
-config files and the files they name, forecast periods, indigenous-knowledge
-reports dated before the epoch or out of order, damaged, outdated or
-repeatedly restored persisted state, and a handler that fails unexpectedly.
+"""Malformed input at the service's edges: HTTP request bodies, routes and
+requests the HTTP parser refuses, config files and the files they name,
+forecast periods, indigenous-knowledge reports dated before the epoch or
+out of order, damaged, outdated or repeatedly restored persisted state,
+and a handler that fails unexpectedly.
 Each gets a typed error and a defined HTTP status or CLI exit code, never a
 dropped connection, a traceback or a changed state. One table pins the
 exact status and reply of every error each HTTP route answers with."""
@@ -88,6 +89,24 @@ class TestHttpBodies:
             assert sock.recv(1) == b""                 # the server closed the connection
         assert pipeline.event_count == 0
 
+    def test_chunked_body_gets_411_and_a_closed_connection(self, server):
+        """A body framed by Transfer-Encoding is refused unread; the
+        connection closes, so no chunk line is read as the next request."""
+        port, pipeline = server
+        body = reading()
+        request = (b"POST /observations HTTP/1.1\r\nHost: localhost\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+                   b"GET /health HTTP/1.1\r\nHost: localhost\r\n\r\n" % (len(body), body))
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 411
+            assert json.loads(response.read()) == error(
+                "LengthRequired", "a request body needs a Content-Length, not Transfer-Encoding")
+            assert sock.recv(1) == b""                 # the server closed the connection
+        assert pipeline.event_count == 0
+
 
 def ik_report(**fields) -> bytes:
     return json.dumps({"indicator_id": "sifennefene_worms_scarce", "region": "r1",
@@ -102,6 +121,47 @@ def reading(**fields) -> bytes:
 
 def error(code: str, detail: str, **extra) -> dict:
     return {"error": code, "detail": detail, **extra}
+
+
+def reply_until_close(port: int, request: bytes) -> bytes:
+    """Every byte the server sends back to ``request`` before it closes the
+    connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+class TestProtocolErrors:
+    """Requests the stdlib's parser refuses get JSON too, and the connection
+    closes."""
+
+    @pytest.mark.parametrize("method, body", [
+        ("DELETE", error("NotImplemented", "Unsupported method ('DELETE')")),
+        ("HEAD", None),     # a reply to HEAD has no body
+    ], ids=["DELETE", "HEAD"])
+    def test_unsupported_method_gets_json_501(self, server, method, body):
+        port, _ = server
+        reply = reply_until_close(port, b"%s /forecast?region=r1 HTTP/1.1\r\n"
+                                        b"Host: localhost\r\n\r\n" % method.encode())
+        head, _, sent = reply.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 501 Not Implemented"
+        assert {b"Connection: close", b"Content-Type: application/json"} <= set(lines)
+        assert (json.loads(sent) if sent else None) == body
+
+    @pytest.mark.parametrize("line, detail", [
+        (b"GARBAGE", "Bad request syntax ('GARBAGE')"),
+        (b"GET /health HTTP/x", "Bad request version ('HTTP/x')"),
+    ], ids=["no_version", "bad_version"])
+    def test_bad_request_line_gets_json_400(self, server, line, detail):
+        # a request line the stdlib cannot read a version from is answered
+        # as HTTP/0.9: the body alone, with no status line or headers
+        port, _ = server
+        reply = reply_until_close(port, line + b"\r\n\r\n")
+        assert json.loads(reply) == error("BadRequest", detail)
 
 
 RULE_TEXTS = [
@@ -294,6 +354,7 @@ class TestMalformedConfig:
         ("indicators", "indicators.json", [{**INDICATOR, "weight": "0.8"}]),
         ("indicators", "indicators.json", [{**INDICATOR, "weight": 10 ** 400}]),
         ("indicators", "indicators.json", [{**INDICATOR, "id": 7}]),
+        ("indicators", "indicators.json", [{**INDICATOR, "season": [True, 2.0]}]),
         ("alignment_table", "alignment.json",
          {**scenario.ALIGNMENT, "terms": {"rain": "ex:frogs"}}),
         ("alignment_table", "alignment.json",
@@ -307,6 +368,7 @@ class TestMalformedConfig:
         ("rules", "detection.rules", b"\xff"),
     ], ids=["bogus_kind", "indicators_not_array", "missing_kind", "weight_out_of_range",
             "weight_boolean", "weight_string", "weight_overflows", "id_number",
+            "season_not_months",
             "non_canonical_property", "unit_without_iri", "scale_boolean", "offset_string",
             "alignment_array", "alignment_not_utf8", "rules_not_utf8"])
     def test_damaged_sibling_exits_1(self, scenario_dir, tmp_path, capsys,

@@ -19,6 +19,7 @@ from semdrought.service import (
     UnknownRegionError,
     load_config,
 )
+from semdrought.service import pipeline as pipeline_module
 from semdrought.service.cli import main as cli_main
 from semdrought.model import RDF_NS, Iri, triples_to_observation
 from semdrought.store import TripleStore
@@ -48,6 +49,17 @@ def scenario_dir(tmp_path_factory):
     target = tmp_path_factory.mktemp("scenario")
     manifest = scenario.generate_scenario(target)
     return target, manifest
+
+
+def config_without_baseline(target, directory):
+    """The path of a copy, in ``directory``, of the scenario's config with no
+    ``baseline`` and no ``persistence_dir``, beside copies of its files."""
+    doc = json.loads(scenario.config_path(target).read_text())
+    del doc["baseline"], doc["persistence_dir"]
+    for name in (doc["alignment_table"], doc["indicators"], doc["rules"]):
+        shutil.copy(target / name, directory / name)
+    (directory / "config.json").write_text(json.dumps(doc))
+    return directory / "config.json"
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +200,7 @@ class TestForecastIntegration:
     def test_without_baseline_the_history_before_the_period_is_the_baseline(
             self, scenario_dir, tmp_path):
         target, manifest = scenario_dir
-        doc = json.loads(scenario.config_path(target).read_text())
-        del doc["baseline"], doc["persistence_dir"]
-        for name in (doc["alignment_table"], doc["indicators"], doc["rules"]):
-            shutil.copy(target / name, tmp_path / name)
-        (tmp_path / "config.json").write_text(json.dumps(doc))
-        config = load_config(tmp_path / "config.json")
+        config = load_config(config_without_baseline(target, tmp_path))
         pipeline = Pipeline(config)
         pipeline.replay(scenario.dataset_path(target))
         period = manifest["engineered_periods"][0]
@@ -292,10 +299,11 @@ def feed(pipeline: Pipeline, lines: list[str]) -> None:
             pass
 
 
-def read_bulletin(pipeline: Pipeline):
-    """The latest r1 bulletin as JSON, or the code of the error it raises."""
+def read_bulletin(pipeline: Pipeline, period: str | None = None):
+    """The r1 bulletin of ``period`` (the latest by default) as JSON, or the
+    code of the error it raises."""
     try:
-        return pipeline.bulletin("r1").to_json_dict()
+        return pipeline.bulletin("r1", period).to_json_dict()
     except SemDroughtError as exc:
         return exc.code
 
@@ -484,3 +492,58 @@ class TestCli:
         code = cli_main(["replay", "--config", str(tmp_path / "none.json"),
                          "--input", "x"])
         assert code == 1
+
+
+class TestReadsReuseTheBaseline:
+    """A read builds a region's baseline climatology once and keeps it until
+    a reading inside the baseline window is logged or the state is restored;
+    it previews only the open windows that end before the period does."""
+
+    # (the date of the first line the pipeline has not been fed, the period
+    # read then; None is the end of the data, or the latest period)
+    READS = [("2021-04-", "2020-06"), ("2021-08-", "2020-06"), ("2021-08-", "2021-06"),
+             ("2021-08-", None), ("2021-08-", "2030-01"), ("2021-10-", "2021-06"),
+             ("2021-10-", "2021-07"), ("2022-03-", "2020-06"), ("2022-03-", None),
+             ("2022-05-13T", None), ("2022-06-08T", None), ("2022-06-08T", "2022-05"),
+             (None, "2022-07"), (None, None)]
+
+    @pytest.mark.parametrize("baseline", [True, False], ids=["baseline", "history_before"])
+    def test_reads_between_in_window_lines_match_a_flushed_twin(self, scenario_dir, tmp_path,
+                                                               baseline):
+        target, _ = scenario_dir
+        path = (scenario.config_path(target) if baseline
+                else config_without_baseline(target, tmp_path))
+        lines = [line for line in scenario.dataset_path(target).read_text().splitlines()
+                 if line.strip()]
+        pipeline = Pipeline(load_config(path))
+        fed = 0
+        for date, period in self.READS:
+            cut = (len(lines) if date is None
+                   else next(i for i, line in enumerate(lines) if date in line))
+            feed(pipeline, lines[fed:cut])
+            fed = cut
+            twin = Pipeline(load_config(path))
+            feed(twin, lines[:cut])
+            twin.flush_engines()    # commits what the pipeline's read previews
+            assert read_bulletin(pipeline, period) == read_bulletin(twin, period), (
+                f"read of {period} before {date}")
+
+    def test_reads_of_past_periods_build_the_climatology_once(self, replayed, tmp_path,
+                                                              monkeypatch):
+        target, manifest, replayed_pipeline, _ = replayed
+        replayed_pipeline.persist(tmp_path)
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_climatology(*args)
+
+        monkeypatch.setattr(pipeline_module, "build_climatology", counted)
+        pipeline = Pipeline(load_config(scenario.config_path(target)))
+        pipeline.restore(tmp_path)
+        for period in manifest["baseline_periods"][:20]:
+            pipeline.bulletin("r1", period)
+        assert len(builds) == 1
+        pipeline.restore(tmp_path)
+        pipeline.bulletin("r1", manifest["baseline_periods"][0])
+        assert len(builds) == 2
