@@ -10,8 +10,8 @@ Semantics pinned here:
   push_event settles boundaries strictly below the incoming timestamp,
   and flush() drains every remaining boundary whose window reaches back
   before the last event seen; preview(before) returns what flush() would
-  fire below ``before`` without committing it. A window covers
-  (b - length, b].
+  fire below ``before``, settled on an engine built from ``state()``, so
+  it commits nothing. A window covers (b - length, b].
 * Events a firing emits are re-injected at the window end and become
   visible to later boundaries only (one cascade level per timestamp).
 * The engine holds, per event kind that some rule's pattern names,
@@ -22,6 +22,8 @@ Semantics pinned here:
   instant keep their arrival order.
 * Each rule's pattern is compiled once into a truth closure over those
   columns; a rule's evidence is built only when it fires.
+* All an engine carries from one event to the next is one value,
+  ``EngineState``, and ``Engine(rules, state)`` resumes from it.
 """
 
 import math
@@ -200,26 +202,42 @@ def _leaf_kinds(node) -> list[str]:
     return [node.kind]
 
 
-class Engine:
-    """Single-stream evaluator; one instance per logically ordered stream.
-    ``last_timestamp`` resumes a stream whose events before it were consumed
-    elsewhere: earlier events are rejected, the next one anchors the grid."""
+@dataclass(frozen=True)
+class EngineState:
+    """An engine's held events, kinds no rule reads left out; each rule's
+    next boundary, none before the first event; and the last timestamp."""
+    held: tuple[tuple[str, tuple[Event, ...]], ...] = ()    # (kind, its events in time order)
+    cursors: tuple[tuple[str, int], ...] = ()     # (rule name, its next boundary)
+    last: int | None = None     # earlier events are rejected
 
-    def __init__(self, rules: list[CepRule], last_timestamp: int | None = None):
+
+class Engine:
+    """Single-stream evaluator; one instance per logically ordered stream."""
+
+    def __init__(self, rules: list[CepRule], state: EngineState = EngineState()):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ValueError("rule names must be unique within an engine")
         self.rules = sorted(rules, key=lambda r: r.name)
         self._max_length = max((r.window.length for r in rules), default=0)
         reads = {r.name: _leaf_kinds(r.pattern) for r in rules}
+        held = dict(state.held)
         # kind -> (timestamps, events, values) in time order, for each kind a rule reads
-        self._held = {kind: ([], [], []) for kinds in reads.values() for kind in kinds}
-        self._valueless: set[str] = set()    # held kinds that have held a valueless event
+        self._held = {kind: ([e.timestamp for e in events], list(events), [e.value for e in events])
+                      for kind in dict.fromkeys(k for kinds in reads.values() for k in kinds)
+                      for events in [held.get(kind, ())]}
+        self._valueless = {kind for kind, (_, _, values) in self._held.items() if None in values}
         # rule -> (truth, evidence, whether it reads a kind twice and so can list an event twice)
         self._patterns = {r.name: (*_compile(r.pattern, self._held, self._valueless),
                                    len(set(reads[r.name])) < len(reads[r.name])) for r in rules}
-        self._cursors: dict[str, int] = {}
-        self._last_ts = last_timestamp
+        self._cursors = dict(state.cursors)
+        self._last_ts = state.last
+
+    def state(self) -> EngineState:
+        """A copy of what the engine holds; later pushes leave it unchanged."""
+        return EngineState(
+            tuple((kind, tuple(events)) for kind, (_, events, _) in self._held.items() if events),
+            tuple(self._cursors.items()), self._last_ts)
 
     def push_event(self, event: Event) -> list[Firing]:
         """Feed one event; returns firings for boundaries it strictly crossed."""
@@ -245,20 +263,13 @@ class Engine:
 
     def preview(self, before: int) -> list[Firing]:
         """The firings ``flush`` would return now with a window end before
-        ``before``, settled on a copy; commits nothing. Boundaries settle in
-        ascending order and an emitted event is seen only by later ones, so
-        the boundaries at or past ``before`` are left unsettled, and with none
-        earlier pending nothing is copied."""
+        ``before``, settled on ``Engine(rules, state())``; commits nothing.
+        Boundaries settle in ascending order and an emitted event is seen only
+        by later ones, so those at or past ``before`` stay unsettled."""
         due = self._drained_before(before)
         if not self._cursors or not any(due(r, self._cursors[r.name]) for r in self.rules):
             return []
-        copy = Engine(self.rules, self._last_ts)
-        for kind, columns in self._held.items():   # the copy's closures read its own lists
-            for mine, theirs in zip(copy._held[kind], columns):
-                mine[:] = theirs
-        copy._valueless.update(self._valueless)
-        copy._cursors = dict(self._cursors)
-        return copy._settle(due)
+        return Engine(self.rules, self.state())._settle(due)
 
     def run(self, events: list[Event]) -> list[Firing]:
         firings = []

@@ -203,7 +203,7 @@ def period_bounds(period: str) -> tuple[int, int]:
 def make_bulletin(
     region: str,
     period: str,
-    observations: list[CanonicalObservation],
+    readings: list[CanonicalObservation],
     climatology: dict[tuple[str, int], ClimatologyEntry],
     ik_signal_fn,
     firings: list[Firing],
@@ -214,7 +214,7 @@ def make_bulletin(
 ) -> ForecastBulletin:
     """Assemble the dissemination bulletin for one region and month.
 
-    ``observations`` must already be the region's observations;
+    ``readings`` are the region's readings in the period;
     ``ik_signal_fn(region, window)`` supplies the indigenous-knowledge
     signal. The issue instant is pinned to the period end so output is a
     pure function of its inputs.
@@ -222,16 +222,13 @@ def make_bulletin(
     ns = ns or Namespaces()
     start, end = period_bounds(period)
     month = month_of(start)
-    in_period = [o for o in observations if start <= o.timestamp < end]
-    if not in_period:
-        raise NoDataError(f"no observations for {region} in {period}")
 
     precip = ns.iri("ex:precipitation")
     soil = ns.iri("ex:soilMoisture")
     temp = ns.iri("ex:airTemperature")
 
     def values_of(prop: Iri) -> list[float]:
-        series = [o.value for o in in_period if o.property == prop]
+        series = [o.value for o in readings if o.property == prop]
         if not series:
             raise NoDataError(
                 f"no {prop.local_name()} observations for {region} in {period}"

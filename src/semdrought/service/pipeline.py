@@ -13,12 +13,12 @@ from the log on every read: for ``export`` and for the ``store`` view.
 import json
 import os
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
-from ..cep.engine import Engine, Event, Firing
+from ..cep.engine import Engine, EngineState, Event, Firing
 from ..errors import SemDroughtError
 from ..forecast import (
     ClimatologyEntry,
@@ -63,11 +63,8 @@ class DuplicateObservationError(SemDroughtError):
 @dataclass
 class ReplaySummary:
     parsed: int = 0
-    rejected: dict[str, int] = dataclass_field(default_factory=dict)
+    rejected: Counter[str] = dataclass_field(default_factory=Counter)
     firings: int = 0
-
-    def reject(self, code: str) -> None:
-        self.rejected[code] = self.rejected.get(code, 0) + 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,12 +194,12 @@ class Pipeline:
                     continue
                 tag, _, payload = line.partition("|")
                 if not payload:
-                    summary.reject("Malformed")
+                    summary.rejected["Malformed"] += 1
                     continue
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
-                    summary.reject("Malformed")
+                    summary.rejected["Malformed"] += 1
                     continue
                 try:
                     if tag == "ik":
@@ -210,7 +207,7 @@ class Pipeline:
                     else:
                         _, firings = self.ingest_payload(tag, payload)
                 except SemDroughtError as exc:
-                    summary.reject(exc.code)
+                    summary.rejected[exc.code] += 1
                     continue
                 summary.parsed += 1
                 summary.firings += len(firings)
@@ -238,17 +235,20 @@ class Pipeline:
         return kept[1]
 
     def bulletin(self, region: str, period: str | None = None) -> ForecastBulletin:
-        """Forecast for a region period; its evidence previews the open
-        windows that end inside the period."""
+        """Forecast for a region period, NoData without readings in it; its
+        evidence previews the open windows that end inside the period."""
         with self.lock:
             _check_region(region, self.config.regions)
             if period is None:
                 period = self._latest_period(region)
             start, end = period_bounds(period)
+            readings = [o for o in self._observations[region] if start <= o.timestamp < end]
+            if not readings:
+                raise NoDataError(f"no observations for {region} in {period}")
             return make_bulletin(
                 region=region,
                 period=period,
-                observations=self._observations[region],
+                readings=readings,
                 climatology=self._climatology(region, start),
                 ik_signal_fn=self.ik.signal,
                 firings=[f for r, f in self._firings if r == region]
@@ -344,10 +344,10 @@ class Pipeline:
 
         The persisted logs replace the current ones, in their logged order,
         and the persisted triples, saturated again, replace the store's;
-        nothing changes if any file is missing or damaged. Each region gets
-        an empty engine that rejects events older than the region's last
-        restored reading or report (persisted firings stand in for the
-        engine's past ones).
+        nothing changes if any file is missing or damaged. Each region's
+        engine resumes from ``EngineState(last=...)``, its last restored
+        reading or report: it rejects older events and holds no open windows
+        (persisted firings stand in for the engine's past ones).
         """
         directory = Path(directory)
         for name in (OBSERVATION_LOG_FILE, FACTS_FILE):
@@ -379,9 +379,9 @@ class Pipeline:
             self._observation_ids = ids
             self._observations = logs
             for region, log in logs.items():
-                times = [o.timestamp for o in ik.observations if o.region == region]
-                times.extend(o.timestamp for o in log)
-                self._engines[region] = Engine(self.rules, max(times, default=None))
+                last = max([o.timestamp for o in ik.observations if o.region == region]
+                           + [o.timestamp for o in log], default=None)
+                self._engines[region] = Engine(self.rules, EngineState(last=last))
             self._view = None
             self._climatologies = {}
             self.ik = ik

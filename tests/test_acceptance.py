@@ -312,12 +312,12 @@ def test_criterion_5_dvi_properties():
         history, period_obs = neutral_world()
         weights = DviWeights(0.5, 0.375, 0.125, 0.0)
         reference = make_bulletin(
-            "r1", "2023-06", history + period_obs, build_climatology(history),
+            "r1", "2023-06", period_obs, build_climatology(history),
             zero_signal, [], NS, weights=weights,
         )
         for value, support in ((1.0, 9), (-1.0, 3), (0.5, 1)):
             perturbed = make_bulletin(
-                "r1", "2023-06", history + period_obs, build_climatology(history),
+                "r1", "2023-06", period_obs, build_climatology(history),
                 lambda region, window: IkSignal(value, support), [], NS,
                 weights=weights,
             )

@@ -8,6 +8,7 @@ far, evaluating each window with the uncompiled ``_evaluate``; it checks
 full firings, evidence included, with flushes interleaved.
 """
 
+import copy
 import random
 import statistics
 
@@ -31,7 +32,7 @@ from semdrought.cep import (
     slope,
     window_aggregate,
 )
-from semdrought.cep.engine import _sequence_pairs
+from semdrought.cep.engine import EngineState, _sequence_pairs
 from semdrought.cep.rules import COMPARATORS
 from semdrought.model import Namespaces
 
@@ -190,7 +191,7 @@ class TestOutOfOrder:
 
     def test_resumed_engine_rejects_earlier_events_and_anchors_on_the_next(self):
         rules = [rule("RULE r WHEN COUNT(k) >= 1 WITHIN 2d STEP 1d EMIT E")]
-        resumed = Engine(rules, last_timestamp=5 * DAY)
+        resumed = Engine(rules, EngineState(last=5 * DAY))
         with pytest.raises(OutOfOrderError):
             resumed.push_event(ev("k", 5 * DAY - 1, 1.0))
         assert resumed.flush() == []
@@ -646,3 +647,61 @@ class TestPreview:
             got.extend(engine.flush())
             assert full_firings(got) == full_firings(Engine(rules).run(stream)), (
                 f"trial {trial} diverged")
+
+
+def resume_cases(seed: int):
+    """(rules, stream, flushes, cut) cases: an engine fed ``stream[:cut]``,
+    flushing after each index in ``flushes``, is cut there. Streams hold
+    same-instant runs, valueless events and events of emitted kinds; the
+    cuts include 0, the end, right after a flush and inside a same-instant
+    run."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        rules = random_rules(rng, rng.randint(1, 10))
+        stream = []
+        for e in random_stream(rng, rng.randint(10, 200)):
+            kind = rng.choice(rules).emit if rng.random() < 0.2 else e.kind
+            ts = stream[-1].timestamp if stream and rng.random() < 0.2 else e.timestamp
+            stream.append(ev(kind, ts, None if rng.random() < 0.1 else e.value))
+        flushes = {i for i in range(len(stream)) if rng.random() < 0.1}
+        same_instant = [i for i in range(1, len(stream))
+                        if stream[i - 1].timestamp == stream[i].timestamp]
+        cuts = {0, len(stream), rng.randint(0, len(stream))}
+        cuts.update(i + 1 for i in rng.sample(sorted(flushes), min(2, len(flushes))))
+        cuts.update(rng.sample(same_instant, min(2, len(same_instant))))
+        for cut in sorted(cuts):
+            yield rules, stream, flushes, cut
+
+
+def feed_range(engine: Engine, stream, flushes, indexes) -> list:
+    """Each firing, with its evidence, of feeding ``stream`` at ``indexes``."""
+    firings = []
+    for i in indexes:
+        firings.extend(engine.push_event(stream[i]))
+        if i in flushes:
+            firings.extend(engine.flush())
+    return [(f, f.evidence) for f in firings]
+
+
+class TestEngineState:
+    def test_an_engine_resumed_from_a_state_continues_as_the_original(self):
+        """``Engine(rules, e.state())`` fires what ``e`` fires from there on,
+        evidence included; the state round-trips through an engine, and it
+        does not change as ``e`` continues."""
+        fired = 0
+        for rules, stream, flushes, cut in resume_cases(20261020):
+            engine = Engine(rules)
+            feed_range(engine, stream, flushes, range(cut))
+            state = engine.state()
+            snapshot = copy.deepcopy(state)
+            resumed = Engine(rules, state)
+            assert resumed.state() == state
+            rest = range(cut, len(stream))
+            got = feed_range(resumed, stream, flushes, rest) + [(f, f.evidence)
+                                                                 for f in resumed.flush()]
+            expected = feed_range(engine, stream, flushes, rest) + [(f, f.evidence)
+                                                                    for f in engine.flush()]
+            assert got == expected, f"diverged after a cut at {cut}"
+            assert state == snapshot
+            fired += len(expected)
+        assert fired > 100

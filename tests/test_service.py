@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenario
+from semdrought.cep import Engine
 from semdrought.errors import SemDroughtError
-from semdrought.forecast import Severity, build_climatology, make_bulletin, period_bounds
+from semdrought.forecast import (
+    NoDataError,
+    Severity,
+    build_climatology,
+    make_bulletin,
+    period_bounds,
+)
 from semdrought.service import (
     InvalidConfigError,
     NotFoundError,
@@ -204,12 +211,13 @@ class TestForecastIntegration:
         pipeline = Pipeline(config)
         pipeline.replay(scenario.dataset_path(target))
         period = manifest["engineered_periods"][0]
-        start, _ = period_bounds(period)
+        start, end = period_bounds(period)
         observations = extract_observations(pipeline.store, pipeline.ns)
         climatology = build_climatology([o for o in observations if o.timestamp < start],
                                         config.min_baseline_count)
         expected = make_bulletin(
-            "r1", period, observations, climatology, pipeline.ik.signal,
+            "r1", period, [o for o in observations if start <= o.timestamp < end],
+            climatology, pipeline.ik.signal,
             [f for _, f in pipeline.firings], pipeline.ns, config.weights,
             config.severity_thresholds, config.ik_window_days * 86400)
         assert pipeline.bulletin("r1", period) == expected
@@ -547,3 +555,34 @@ class TestReadsReuseTheBaseline:
         pipeline.restore(tmp_path)
         pipeline.bulletin("r1", manifest["baseline_periods"][0])
         assert len(builds) == 2
+
+    def test_a_read_without_readings_is_no_data_before_any_work(self, scenario_dir, tmp_path,
+                                                                monkeypatch):
+        target, _ = scenario_dir
+        lines = [line for line in scenario.dataset_path(target).read_text().splitlines()
+                 if line.strip()]
+        pipeline = Pipeline(load_config(config_without_baseline(target, tmp_path)))
+        feed(pipeline, lines[:-40])
+        calls = []
+
+        def counted(*args):
+            calls.append("build_climatology")
+            return build_climatology(*args)
+
+        engine_init = Engine.__init__
+
+        def counted_init(self, *args):
+            calls.append("Engine")
+            engine_init(self, *args)
+
+        monkeypatch.setattr(pipeline_module, "build_climatology", counted)
+        monkeypatch.setattr(Engine, "__init__", counted_init)
+        pipeline.bulletin("r1")
+        assert calls == ["build_climatology", "Engine"]    # a read with readings does both
+        kept = dict(pipeline._climatologies)
+        calls.clear()
+        with pytest.raises(NoDataError):
+            pipeline.bulletin("r1", "2030-01")
+        assert calls == []
+        assert pipeline._climatologies == kept
+        assert pipeline._climatologies["r1"] is kept["r1"]
