@@ -19,6 +19,7 @@ from .ik import IkSignal
 from .model import CanonicalObservation, Iri, Namespaces, format_utc_instant, month_of
 
 MIN_BASELINE_COUNT = 5
+DVI_PROPERTIES = ("ex:precipitation", "ex:soilMoisture", "ex:airTemperature")
 DEFAULT_IK_WINDOW_SECONDS = 90 * 86400
 
 
@@ -200,10 +201,26 @@ def period_bounds(period: str) -> tuple[int, int]:
     return int(start.timestamp()), int(end.timestamp())
 
 
+def period_values(region: str, period: str, readings: list[CanonicalObservation],
+                  ns: Namespaces) -> dict[str, list[float]]:
+    """The values of each DVI property among a region period's ``readings``,
+    keyed by property IRI text, in reading order; NoData if the period has
+    no readings, or none of one of those properties."""
+    if not readings:
+        raise NoDataError(f"no observations for {region} in {period}")
+    values = {ns.iri(name).value: [] for name in DVI_PROPERTIES}
+    for obs in readings:
+        values.get(obs.property.value, []).append(obs.value)
+    for prop, series in values.items():
+        if not series:
+            raise NoDataError(f"no {Iri(prop).local_name()} observations for {region} in {period}")
+    return values
+
+
 def make_bulletin(
     region: str,
     period: str,
-    readings: list[CanonicalObservation],
+    values: dict[str, list[float]],
     climatology: dict[tuple[str, int], ClimatologyEntry],
     ik_signal_fn,
     firings: list[Firing],
@@ -214,7 +231,7 @@ def make_bulletin(
 ) -> ForecastBulletin:
     """Assemble the dissemination bulletin for one region and month.
 
-    ``readings`` are the region's readings in the period;
+    ``values`` are the period's, as ``period_values`` gives them;
     ``ik_signal_fn(region, window)`` supplies the indigenous-knowledge
     signal. The issue instant is pinned to the period end so output is a
     pure function of its inputs.
@@ -223,21 +240,10 @@ def make_bulletin(
     start, end = period_bounds(period)
     month = month_of(start)
 
-    precip = ns.iri("ex:precipitation")
-    soil = ns.iri("ex:soilMoisture")
-    temp = ns.iri("ex:airTemperature")
-
-    def values_of(prop: Iri) -> list[float]:
-        series = [o.value for o in readings if o.property == prop]
-        if not series:
-            raise NoDataError(
-                f"no {prop.local_name()} observations for {region} in {period}"
-            )
-        return series
-
-    precip_total = sum(values_of(precip))
-    soil_mean = statistics.fmean(values_of(soil))
-    temp_mean = statistics.fmean(values_of(temp))
+    precip, soil, temp = (ns.iri(name) for name in DVI_PROPERTIES)
+    precip_total = sum(values[precip.value])
+    soil_mean = statistics.fmean(values[soil.value])
+    temp_mean = statistics.fmean(values[temp.value])
 
     def usable_entry(prop: Iri):
         entry = climatology.get((prop.value, month))

@@ -13,7 +13,7 @@ from the log on every read: for ``export`` and for the ``store`` view.
 import json
 import os
 import threading
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -27,12 +27,12 @@ from ..forecast import (
     build_climatology,
     make_bulletin,
     period_bounds,
+    period_values,
 )
 from ..ik import IkObservation, IkRegistry
 from ..ingest import IngestError, canonicalize, parse_payload, parse_timestamp
 from ..model import (
     OBSERVATION_SHAPE,
-    RDF_NS,
     CanonicalObservation,
     Datatype,
     Iri,
@@ -43,7 +43,7 @@ from ..model import (
     parse_utc_instant,
     triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
 )
-from ..store import ParseError, TripleStore, builtin_rules, triple_text
+from ..store import ParseError, TripleStore, hierarchies, triple_text
 from .config import Config
 
 OBSERVATION_LOG_FILE = "observations.jsonl"
@@ -89,7 +89,7 @@ class Pipeline:
         self._facts = TripleStore()
         for triple in self.vocabulary.as_triples():
             self._facts.insert(triple)
-        self._facts.saturate(builtin_rules(self.ns))
+        self._facts.saturate(self.ns)
         self._view: TripleStore | None = None
 
         self._engines = {region: Engine(self.rules) for region in config.regions}
@@ -235,20 +235,19 @@ class Pipeline:
         return kept[1]
 
     def bulletin(self, region: str, period: str | None = None) -> ForecastBulletin:
-        """Forecast for a region period, NoData without readings in it; its
-        evidence previews the open windows that end inside the period."""
+        """Forecast for a region period, NoData before any work without readings
+        of each DVI property; its evidence previews open windows ending in it."""
         with self.lock:
             _check_region(region, self.config.regions)
             if period is None:
                 period = self._latest_period(region)
             start, end = period_bounds(period)
-            readings = [o for o in self._observations[region] if start <= o.timestamp < end]
-            if not readings:
-                raise NoDataError(f"no observations for {region} in {period}")
+            values = period_values(region, period, [
+                o for o in self._observations[region] if start <= o.timestamp < end], self.ns)
             return make_bulletin(
                 region=region,
                 period=period,
-                readings=readings,
+                values=values,
                 climatology=self._climatology(region, start),
                 ik_signal_fn=self.ik.signal,
                 firings=[f for r, f in self._firings if r == region]
@@ -270,19 +269,14 @@ class Pipeline:
     def _observation_triples(self) -> Iterator[tuple[Triple, bool]]:
         """(triple, inferred) for each logged observation: its eight triples,
         then ``rdf:type`` to each super-class of ``ex:ObservationEvent``, then
-        each of those under every super-property of its predicate, with both
-        closures read from the saturated facts. That is the built-in rules'
-        fixpoint unless the ontology makes an observation predicate a
-        sub-property of ``rdf:type``, ``ex:subClassOf`` or ``ex:subPropertyOf``,
-        which would need the rules to chain further. Call with the lock held."""
-        rdf_type, event_class = Iri(RDF_NS + "type"), self.ns.iri("ex:ObservationEvent")
-        sub_class, sub_property = self.ns.iri("ex:subClassOf"), self.ns.iri("ex:subPropertyOf")
-        super_classes = {t.object for t in self._facts if t.predicate == sub_class
-                         and t.subject == event_class} - {event_class}
-        super_properties = defaultdict(list)
-        for t in self._facts:
-            if t.predicate == sub_property:
-                super_properties[t.subject].append(t.object)
+        each of those under every super-property of its predicate: ``hierarchies``
+        of the saturated facts. That is the built-in rules' fixpoint unless the
+        ontology makes an observation predicate a sub-property of ``rdf:type``,
+        ``ex:subClassOf`` or ``ex:subPropertyOf``, which would need the rules
+        to chain further. Call with the lock held."""
+        rdf_type, event_class = self.ns.iri("rdf:type"), self.ns.iri("ex:ObservationEvent")
+        classes, _, super_properties = hierarchies(self._facts, self.ns)
+        super_classes = set(classes.get(event_class, ())) - {event_class}
         for log in self._observations.values():
             for obs in log:
                 own = observation_to_triples(self.ns, obs)
@@ -368,7 +362,7 @@ class Pipeline:
             facts = TripleStore.load(facts_path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, ParseError) as exc:
             raise SemDroughtError(f"{facts_path}: {exc}") from exc
-        facts.saturate(builtin_rules(self.ns))
+        facts.saturate(self.ns)
         regions = self.config.regions
         ik = IkRegistry(self.config.indicators)
         _read_jsonl(directory / IK_LOG_FILE,

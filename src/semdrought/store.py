@@ -1,17 +1,18 @@
 """Embedded triple store.
 
 Set-semantics storage with pattern matching, conjunctive (natural-join)
-queries, forward-chaining saturation over positive Datalog rules, and a
-deterministic line-oriented N-Triples subset for persistence.
+queries, saturation under the four built-in RDFS rules over the class and
+property hierarchies, and a deterministic line-oriented N-Triples subset
+for persistence.
 """
 
 import re
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import SemDroughtError
 from .model import (
-    RDF_NS,
     BlankNode,
     Datatype,
     Iri,
@@ -57,22 +58,6 @@ class TriplePattern:
     def variables(self) -> set[str]:
         return {t.name for t in (self.subject, self.predicate, self.object)
                 if isinstance(t, Variable)}
-
-
-@dataclass(frozen=True)
-class InferenceRule:
-    body: tuple[TriplePattern, ...]
-    head: TriplePattern
-
-    def __post_init__(self):
-        if not self.body:
-            raise ValueError("rule body must contain at least one pattern")
-        bound = set()
-        for pattern in self.body:
-            bound |= pattern.variables()
-        free = self.head.variables() - bound
-        if free:
-            raise ValueError(f"head variables not bound in body: {sorted(free)}")
 
 
 Binding = dict[str, Term]
@@ -159,22 +144,27 @@ class TripleStore:
         solutions.sort(key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
         return solutions
 
-    def saturate(self, rules: list[InferenceRule]) -> int:
-        """Forward-chain to the least fixpoint; returns distinct new triples."""
+    def saturate(self, ns: Namespaces) -> int:
+        """Close the store under the built-in rules, RDFS entailment rules
+        rdfs5, rdfs7, rdfs9 and rdfs11: both hierarchies are transitive,
+        ``rdf:type`` climbs the class hierarchy and a triple holds under each
+        super-property of its predicate. Marks and counts what is derived."""
+        rdf_type, sub_class, sub_property = (
+            ns.iri(name) for name in ("rdf:type", "ex:subClassOf", "ex:subPropertyOf"))
         derived = 0
-        changed = True
-        while changed:
-            changed = False
-            for rule in rules:
-                pending: list[Triple] = []
-                for binding in self.query_bgp(list(rule.body)):
-                    head = _substitute(rule.head, binding)
-                    pending.append(Triple(head.subject, head.predicate, head.object))
-                for triple in pending:
-                    if self.insert(triple, inferred=True):
-                        derived += 1
-                        changed = True
-        return derived
+        while True:
+            classes, properties, predicates = hierarchies(self._triples, ns)
+            ups = {sub_class: classes, rdf_type: classes, sub_property: properties}
+            new = {Triple(t.subject, t.predicate, up) for t in self._triples
+                   for up in ups.get(t.predicate, {}).get(t.object, ())}
+            new.update(Triple(t.subject, q, t.object) for t in self._triples
+                       for q in predicates.get(t.predicate, ()))
+            new -= self._triples
+            if not new:
+                return derived
+            self._triples |= new
+            self._inferred |= new
+            derived += len(new)
 
     # -- persistence --------------------------------------------------------
 
@@ -205,6 +195,24 @@ def _escape(lexical: str) -> str:
 def _unescape(lexical: str) -> str:
     return (lexical.replace("\\t", "\t").replace("\\r", "\r").replace("\\n", "\n")
             .replace('\\"', '"').replace("\\\\", "\\"))
+
+
+def hierarchies(triples: Iterable[Triple], ns: Namespaces) -> tuple[dict, dict, dict]:
+    """The hierarchies of ``triples`` one step up, as the built-in rules read
+    them: each subject of an ``ex:subClassOf`` or ``ex:subPropertyOf`` triple
+    to its objects, and each property to its super-properties that are IRIs,
+    the only ones a triple can take as predicate. Of a saturated store, the
+    closures."""
+    sub_class, sub_property = ns.iri("ex:subClassOf"), ns.iri("ex:subPropertyOf")
+    classes, properties, predicates = defaultdict(list), defaultdict(list), defaultdict(list)
+    for t in triples:
+        if t.predicate == sub_class:
+            classes[t.subject].append(t.object)
+        elif t.predicate == sub_property:
+            properties[t.subject].append(t.object)
+            if isinstance(t.object, Iri):
+                predicates[t.subject].append(t.object)
+    return classes, properties, predicates
 
 
 def term_text(term: Term) -> str:
@@ -254,31 +262,3 @@ def _parse_line(line: str, number: int) -> Triple:
     if match is None:
         raise ParseError(number, f"not a triple line: {line!r}")
     return Triple(*(_parse_term(text, number) for text in match.group("s", "p", "o")))
-
-
-def builtin_rules(ns: Namespaces) -> list[InferenceRule]:
-    """Structural inference: transitivity and propagation over the class and
-    property hierarchies. Influence facts deliberately get no rule."""
-    rdf_type = Iri(RDF_NS + "type")
-    sub_class = ns.iri("ex:subClassOf")
-    sub_prop = ns.iri("ex:subPropertyOf")
-    a, b, c = Variable("a"), Variable("b"), Variable("c")
-    x, p, q, o = Variable("x"), Variable("p"), Variable("q"), Variable("o")
-    return [
-        InferenceRule(
-            body=(TriplePattern(a, sub_class, b), TriplePattern(b, sub_class, c)),
-            head=TriplePattern(a, sub_class, c),
-        ),
-        InferenceRule(
-            body=(TriplePattern(a, sub_prop, b), TriplePattern(b, sub_prop, c)),
-            head=TriplePattern(a, sub_prop, c),
-        ),
-        InferenceRule(
-            body=(TriplePattern(a, sub_class, b), TriplePattern(x, rdf_type, a)),
-            head=TriplePattern(x, rdf_type, b),
-        ),
-        InferenceRule(
-            body=(TriplePattern(p, sub_prop, q), TriplePattern(x, p, o)),
-            head=TriplePattern(x, q, o),
-        ),
-    ]

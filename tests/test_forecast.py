@@ -21,6 +21,7 @@ from semdrought.forecast import (
     empirical_percentile,
     make_bulletin,
     period_bounds,
+    period_values,
     standardized_anomaly,
 )
 from semdrought.ik import IkSignal
@@ -222,17 +223,19 @@ def zero_signal(region, window):
     return IkSignal(0.0, 0)
 
 
+def values(readings):
+    return period_values("r1", "2023-06", readings, NS)
+
+
 class TestMakeBulletin:
     def test_no_data_period(self):
-        history, _ = neutral_world()
-        with pytest.raises(NoDataError):
-            make_bulletin("r1", "2023-06", [], build_climatology(history),
-                          zero_signal, [], NS)
+        with pytest.raises(NoDataError, match="no observations for r1 in 2023-06"):
+            period_values("r1", "2023-06", [], NS)
 
     def test_neutral_period_is_watch_at_exactly_quarter(self):
         history, period_obs = neutral_world()
         bulletin = make_bulletin(
-            "r1", "2023-06", period_obs, build_climatology(history),
+            "r1", "2023-06", values(period_obs), build_climatology(history),
             zero_signal, [], NS,
         )
         assert bulletin.dvi == pytest.approx(0.25, abs=1e-9)
@@ -244,22 +247,21 @@ class TestMakeBulletin:
         history, period_obs = neutral_world()
         thin = [o for o in history if o.property != TEMP][:4] + period_obs
         with pytest.raises(InsufficientBaselineError):
-            make_bulletin("r1", "2023-06", period_obs,
+            make_bulletin("r1", "2023-06", values(period_obs),
                           build_climatology(thin), zero_signal, [], NS)
 
     def test_period_without_soil_moisture(self):
-        history, period_obs = neutral_world()
+        _, period_obs = neutral_world()
         dry = [o for o in period_obs if o.property != SOIL]
         with pytest.raises(NoDataError, match="no soilMoisture observations for r1 in 2023-06"):
-            make_bulletin("r1", "2023-06", dry, build_climatology(history),
-                          zero_signal, [], NS)
+            period_values("r1", "2023-06", dry, NS)
 
     def test_month_without_soil_baseline(self):
         history, period_obs = neutral_world()
         no_soil = [o for o in history if o.property != SOIL]
         with pytest.raises(InsufficientBaselineError,
                            match="no soil-moisture baseline for month 6"):
-            make_bulletin("r1", "2023-06", period_obs, build_climatology(no_soil),
+            make_bulletin("r1", "2023-06", values(period_obs), build_climatology(no_soil),
                           zero_signal, [], NS)
 
     def test_evidence_filtered_to_period(self):
@@ -267,7 +269,7 @@ class TestMakeBulletin:
         inside = Firing("dry", ts(2023, 6, 20), "DrySpell")
         outside = Firing("dry", ts(2023, 5, 20), "DrySpell")
         bulletin = make_bulletin(
-            "r1", "2023-06", period_obs, build_climatology(history),
+            "r1", "2023-06", values(period_obs), build_climatology(history),
             zero_signal, [inside, outside], NS,
         )
         assert bulletin.evidence == (inside,)
@@ -280,16 +282,16 @@ class TestMakeBulletin:
             return IkSignal(1.0, 7)
 
         kwargs = dict(ns=NS, weights=weights)
-        a = make_bulletin("r1", "2023-06", period_obs,
+        a = make_bulletin("r1", "2023-06", values(period_obs),
                           build_climatology(history), zero_signal, [], **kwargs)
-        b = make_bulletin("r1", "2023-06", period_obs,
+        b = make_bulletin("r1", "2023-06", values(period_obs),
                           build_climatology(history), loud_signal, [], **kwargs)
         assert a == b
 
     def test_deterministic_issue_instant(self):
         history, period_obs = neutral_world()
         bulletin = make_bulletin(
-            "r1", "2023-06", period_obs, build_climatology(history),
+            "r1", "2023-06", values(period_obs), build_climatology(history),
             zero_signal, [], NS,
         )
         assert bulletin.issued_at == period_bounds("2023-06")[1]
@@ -297,7 +299,7 @@ class TestMakeBulletin:
     def test_json_contract_keys(self):
         history, period_obs = neutral_world()
         payload = make_bulletin(
-            "r1", "2023-06", period_obs, build_climatology(history),
+            "r1", "2023-06", values(period_obs), build_climatology(history),
             zero_signal, [], NS,
         ).to_json_dict()
         assert set(payload) >= {

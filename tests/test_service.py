@@ -18,6 +18,7 @@ from semdrought.forecast import (
     build_climatology,
     make_bulletin,
     period_bounds,
+    period_values,
 )
 from semdrought.service import (
     InvalidConfigError,
@@ -216,7 +217,8 @@ class TestForecastIntegration:
         climatology = build_climatology([o for o in observations if o.timestamp < start],
                                         config.min_baseline_count)
         expected = make_bulletin(
-            "r1", period, [o for o in observations if start <= o.timestamp < end],
+            "r1", period, period_values(
+                "r1", period, [o for o in observations if start <= o.timestamp < end], pipeline.ns),
             climatology, pipeline.ik.signal,
             [f for _, f in pipeline.firings], pipeline.ns, config.weights,
             config.severity_thresholds, config.ik_window_days * 86400)
@@ -563,6 +565,8 @@ class TestReadsReuseTheBaseline:
                  if line.strip()]
         pipeline = Pipeline(load_config(config_without_baseline(target, tmp_path)))
         feed(pipeline, lines[:-40])
+        first_line_only = Pipeline(pipeline.config)
+        feed(first_line_only, lines[:1])
         calls = []
 
         def counted(*args):
@@ -586,3 +590,8 @@ class TestReadsReuseTheBaseline:
         assert calls == []
         assert pipeline._climatologies == kept
         assert pipeline._climatologies["r1"] is kept["r1"]
+        # the latest period holds one rain reading and nothing of the other properties
+        with pytest.raises(NoDataError, match="^no soilMoisture observations for r1 in 2020-01$"):
+            first_line_only.bulletin("r1")
+        assert calls == []
+        assert first_line_only._climatologies == {}

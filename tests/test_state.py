@@ -41,11 +41,11 @@ from semdrought.service.pipeline import (
     _logged_observation,
     _observation_row,
 )
-from semdrought.store import TripleStore, builtin_rules
+from semdrought.store import TripleStore, triple_text
 
 from live_server import running_server
 from test_service import http_post
-from test_store import oracle_fixpoint
+from test_store import builtin_rules, oracle_fixpoint
 
 NS = Namespaces()
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -236,7 +236,7 @@ class TestDerivedView:
                     assert summary.parsed == outcomes.count(None)
                     rejected = {c: outcomes.count(c) for c in set(outcomes) - {None}}
                     assert summary.rejected == rejected
-                reference.store.saturate(rules)
+                reference.store.saturate(pipeline.ns)
                 view = pipeline.store
                 assert set(view) == oracle_fixpoint(asserted(view), rules)
                 assert_same_store(view, reference.store)
@@ -325,6 +325,37 @@ class TestRestore:
         period = "2022-06"
         assert (pipeline.bulletin("r1", period).to_json_dict()
                 == live.bulletin("r1", period).to_json_dict())
+
+    @pytest.mark.parametrize("prop", ["ex:subPropertyOf", "ex:bySensor"])
+    def test_a_super_property_that_is_no_iri_derives_nothing(self, persisted, tmp_path,
+                                                             capsys, prop):
+        """A restored ``facts.nt`` may make a literal the super-property of a
+        property the facts or the observations use. A predicate must be an
+        IRI, so nothing is derived under it: ``forecast`` and ``export`` go
+        on, and the export is the built-in rules' fixpoint."""
+        target, live = persisted
+        ns = live.ns
+        link = Triple(ns.iri(prop), ns.iri("ex:subPropertyOf"), Literal("1", Datatype.INTEGER))
+        facts_text = TripleStore().serialize(
+            persisted_facts(target).splitlines() + [triple_text(link)])
+        copy = tmp_path / "copy"
+        shutil.copytree(target, copy)
+        config = str(scenario.config_path(copy))
+        state = load_config(config).persistence_dir
+        (state / FACTS_FILE).write_text(facts_text, encoding="utf-8")
+        out = tmp_path / "export.nt"
+
+        assert cli_main(["forecast", "--config", config, "--region", "r1",
+                         "--period", "2022-06"]) == 0
+        assert json.loads(capsys.readouterr().out) == live.bulletin("r1", "2022-06").to_json_dict()
+        assert cli_main(["export", "--config", config, "--out", str(out)]) == 0
+        given = set(TripleStore.load(facts_text))
+        for line in (state / OBSERVATION_LOG_FILE).read_text().splitlines():
+            given.update(observation_to_triples(ns, _logged_observation(json.loads(line))))
+        fixpoint = TripleStore()
+        for triple in oracle_fixpoint(given, builtin_rules(ns)):
+            fixpoint.insert(triple)
+        assert out.read_text(encoding="utf-8") == fixpoint.serialize()
 
     def test_restored_firings_equal_the_live_ones(self, persisted, tmp_path):
         target, live = persisted
