@@ -250,7 +250,8 @@ class Engine:
                 stride = rule.window.stride
                 self._cursors[rule.name] = -(-event.timestamp // stride) * stride
         arrived = event.timestamp
-        firings = self._settle(lambda rule, cursor: cursor < arrived)
+        firings = (self._settle(lambda rule, cursor: cursor < arrived)
+                   if min(self._cursors.values(), default=arrived) < arrived else [])
         self._hold(event)
         self._last_ts = event.timestamp
         return firings

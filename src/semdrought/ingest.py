@@ -5,8 +5,10 @@ then aligns divergent property names, units and sensor ids to the
 canonical vocabulary through a lookup table with affine unit conversion.
 """
 
+import functools
 import json
 import math
+import re
 import urllib.parse
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .model import (
     Vocabulary,
     canonical_double,
     json_number,
-    mint_observation_iri,
+    observation_iri_prefix,
     parse_utc_instant,
 )
 
@@ -90,6 +92,9 @@ class NonFiniteError(IngestError):
     code = "NonFinite"
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")    # the code points UTF-8 cannot encode
+
+
 @dataclass(frozen=True)
 class RawObservation:
     sensor_id_raw: str
@@ -101,9 +106,13 @@ class RawObservation:
     lon_raw: str = ""
 
     def __post_init__(self):
+        fields = vars(self)
         for name in ("sensor_id_raw", "property_raw", "value_raw", "unit_raw", "timestamp_raw"):
-            if not getattr(self, name):
+            if not fields[name]:
                 raise EmptyFieldError(f"{name} is blank")
+        text = "".join(fields.values())
+        if not text.isascii() and _SURROGATE.search(text):    # such as a JSON "\ud800"
+            raise MalformedError("a field holds a lone surrogate, which UTF-8 cannot encode")
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +222,15 @@ def _norm(key: str) -> str:
     return key.strip().lower()
 
 
-def _add_new(table: dict, what: str, raw: str, value) -> None:
-    key = _norm(raw)
-    if key in table:
-        raise ValueError(f"duplicate {what} entry under normalization: {raw!r}")
-    table[key] = value
+# successful lookups each alignment memo keeps: a constant, since POST can send
+# any number of distinct sensor ids
+MEMO_LIMIT = 1024
 
 
 class AlignmentTable:
-    """Raw vocabulary to canonical IRIs; lookups are trimmed, case-insensitive."""
+    """Raw vocabulary to canonical IRIs; lookups are trimmed, case-insensitive.
+    ``resolve`` and ``station`` memoize their successes by raw spelling until
+    an entry is added; a failed lookup raises again each time."""
 
     def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
@@ -229,19 +238,29 @@ class AlignmentTable:
         self._terms: dict[str, Iri] = {}
         self._units: dict[str, UnitEntry] = {}
         self._sensors: dict[str, SensorEntry] = {}
+        self.resolve = functools.lru_cache(MEMO_LIMIT)(self._resolve)
+        self.station = functools.lru_cache(MEMO_LIMIT)(self._station)
+
+    def _add(self, table: dict, what: str, raw: str, value) -> None:
+        key = _norm(raw)
+        if key in table:
+            raise ValueError(f"duplicate {what} entry under normalization: {raw!r}")
+        table[key] = value
+        self.resolve.cache_clear()
+        self.station.cache_clear()
 
     def add_term(self, raw: str, property_iri: Iri) -> None:
         if property_iri not in self.vocabulary.property_units:
             raise ValueError(f"not a canonical property: {property_iri.value}")
-        _add_new(self._terms, "term", raw, property_iri)
+        self._add(self._terms, "term", raw, property_iri)
 
     def add_unit(self, raw: str, entry: UnitEntry) -> None:
         if entry.iri not in self.vocabulary.property_units.values():
             raise ValueError(f"unit {entry.iri.value} is canonical for no property")
-        _add_new(self._units, "unit", raw, entry)
+        self._add(self._units, "unit", raw, entry)
 
     def add_sensor(self, raw: str, entry: SensorEntry) -> None:
-        _add_new(self._sensors, "sensor", raw, entry)
+        self._add(self._sensors, "sensor", raw, entry)
 
     def term(self, raw: str) -> Iri | None:
         return self._terms.get(_norm(raw))
@@ -256,6 +275,29 @@ class AlignmentTable:
             return entry
         local = urllib.parse.quote(raw.strip(), safe="")
         return SensorEntry(iri=self.ns.join(f"sensor/{local}"))
+
+    def _resolve(self, property_raw: str, unit_raw: str) -> tuple[Iri, UnitEntry, Iri]:
+        """(property, unit entry, canonical unit) of a reading's raw property
+        and unit; UnknownTerm, UnknownUnit or UnitMismatch if they do not align."""
+        prop = self.term(property_raw)
+        if prop is None:
+            raise UnknownTermError(f"no alignment entry for property {property_raw!r}",
+                                   term=property_raw)
+        unit_entry = self.unit(unit_raw)
+        if unit_entry is None:
+            raise UnknownUnitError(f"no alignment entry for unit {unit_raw!r}", term=unit_raw)
+        canonical_unit = self.vocabulary.property_units[prop]
+        if unit_entry.iri != canonical_unit:
+            raise UnitMismatchError(
+                f"unit {unit_raw!r} resolves to {unit_entry.iri.value}, "
+                f"but {prop.value} is measured in {canonical_unit.value}"
+            )
+        return prop, unit_entry, canonical_unit
+
+    def _station(self, raw: str) -> tuple[SensorEntry, str]:
+        """``sensor(raw)`` and the prefix of its observation IRIs."""
+        entry = self.sensor(raw)
+        return entry, observation_iri_prefix(self.ns, entry.iri)
 
     @classmethod
     def from_json(cls, document: str, vocabulary: Vocabulary) -> "AlignmentTable":
@@ -318,28 +360,11 @@ def parse_timestamp(text: str) -> int:
 
 def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObservation:
     """Resolve vocabulary, convert units, and mint the observation IRI."""
-    prop = table.term(raw.property_raw)
-    if prop is None:
-        raise UnknownTermError(
-            f"no alignment entry for property {raw.property_raw!r}",
-            term=raw.property_raw,
-        )
-    unit_entry = table.unit(raw.unit_raw)
-    if unit_entry is None:
-        raise UnknownUnitError(
-            f"no alignment entry for unit {raw.unit_raw!r}", term=raw.unit_raw
-        )
-    canonical_unit = table.vocabulary.property_units[prop]
-    if unit_entry.iri != canonical_unit:
-        raise UnitMismatchError(
-            f"unit {raw.unit_raw!r} resolves to {unit_entry.iri.value}, "
-            f"but {prop.value} is measured in {canonical_unit.value}"
-        )
-
+    prop, unit_entry, canonical_unit = table.resolve(raw.property_raw, raw.unit_raw)
     value = convert_unit(_parse_number(raw.value_raw, "value"), unit_entry)
     timestamp = parse_timestamp(raw.timestamp_raw)
 
-    sensor = table.sensor(raw.sensor_id_raw)
+    sensor, id_prefix = table.station(raw.sensor_id_raw)
     if raw.lat_raw and raw.lon_raw:
         lat = _parse_number(raw.lat_raw, "lat")
         lon = _parse_number(raw.lon_raw, "lon")
@@ -355,7 +380,7 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
         raise OutOfRangeError(f"longitude out of range: {lon}")
 
     return CanonicalObservation(
-        id=mint_observation_iri(table.ns, sensor.iri, timestamp),
+        id=Iri(id_prefix + str(timestamp)),
         sensor_id=sensor.iri,
         property=prop,
         value=value,

@@ -8,7 +8,7 @@ canonical observations and their 8-triple representation.
 
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from enum import Enum
 
 from .errors import SemDroughtError
@@ -141,10 +141,18 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
+MAX_UTC_INSTANT = 253402300799     # 9999-12-31T23:59:59Z
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
 def format_utc_instant(timestamp: int) -> str:
     """Epoch seconds to ISO-8601 UTC with mandatory Z suffix."""
-    dt = datetime.fromtimestamp(int(timestamp), tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    timestamp = int(timestamp)
+    if not 0 <= timestamp <= MAX_UTC_INSTANT:   # datetime's range and errors
+        return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    day, second = divmod(timestamp, 86400)
+    return "%sT%02d:%02d:%02dZ" % (date.fromordinal(_EPOCH_ORDINAL + day).isoformat(),
+                                   second // 3600, second // 60 % 60, second % 60)
 
 
 def month_of(timestamp: int) -> int:
@@ -160,11 +168,14 @@ def parse_utc_instant(text: str) -> int:
     match = _UTC_INSTANT.fullmatch(text)
     if match is None:
         raise ValueError(f"not an ISO-8601 UTC instant: {text!r}")
+    year, month, day, hour, minute, second = map(int, match.groups())
     try:
-        dt = datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+        days = date(year, month, day).toordinal() - _EPOCH_ORDINAL
+        if hour > 23 or minute > 59 or second > 59:
+            raise ValueError
     except ValueError:
         raise ValueError(f"not an ISO-8601 UTC instant: {text!r}")
-    return int(dt.timestamp())
+    return days * 86400 + hour * 3600 + minute * 60 + second
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +299,13 @@ class CanonicalObservation:
         object.__setattr__(self, "timestamp", int(self.timestamp))
 
 
+def observation_iri_prefix(ns: Namespaces, sensor_id: Iri) -> str:
+    """A sensor's observation IRIs are this text followed by their epoch seconds."""
+    return ns.join(f"obs/{sensor_id.local_name()}/").value
+
+
 def mint_observation_iri(ns: Namespaces, sensor_id: Iri, timestamp: int) -> Iri:
-    return ns.join(f"obs/{sensor_id.local_name()}/{int(timestamp)}")
+    return Iri(observation_iri_prefix(ns, sensor_id) + str(int(timestamp)))
 
 
 # An observation's RDF shape after its rdf:type ex:ObservationEvent triple:
@@ -306,21 +322,14 @@ OBSERVATION_SHAPE = (
 )
 
 
-def lexical_form(value: float, datatype: Datatype) -> str:
-    """Canonical lexical form of a double, or of a UTC instant given in
-    epoch seconds."""
-    if datatype is Datatype.DATETIME:
-        return format_utc_instant(value)
-    return canonical_double(value)
-
-
 def observation_to_triples(ns: Namespaces, obs: CanonicalObservation) -> list[Triple]:
     """Exactly eight triples, in a fixed order, with distinct predicates."""
     triples = [Triple(obs.id, Iri(RDF_NS + "type"), ns.iri("ex:ObservationEvent"))]
     for local, field, datatype in OBSERVATION_SHAPE:
         value = getattr(obs, field)
-        if datatype is not None:
-            value = Literal(lexical_form(value, datatype), datatype)
+        if datatype is not None:    # the canonical lexical form of a double or an instant
+            value = Literal(format_utc_instant(value) if datatype is Datatype.DATETIME
+                            else canonical_double(value), datatype)
         triples.append(Triple(obs.id, ns.iri("ex:" + local), value))
     return triples
 

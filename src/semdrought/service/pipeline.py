@@ -13,9 +13,11 @@ from the log on every read: for ``export`` and for the ``store`` view.
 import json
 import os
 import threading
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
+from operator import attrgetter
 from pathlib import Path
 
 from ..cep.engine import Engine, EngineState, Event, Firing
@@ -32,6 +34,7 @@ from ..forecast import (
 from ..ik import IkObservation, IkRegistry
 from ..ingest import IngestError, canonicalize, parse_payload, parse_timestamp
 from ..model import (
+    MAX_UTC_INSTANT,
     OBSERVATION_SHAPE,
     CanonicalObservation,
     Datatype,
@@ -197,7 +200,7 @@ class Pipeline:
                     summary.rejected["Malformed"] += 1
                     continue
                 try:
-                    line.encode("utf-8")
+                    line.isascii() or line.encode("utf-8")
                 except UnicodeEncodeError:
                     summary.rejected["Malformed"] += 1
                     continue
@@ -228,8 +231,7 @@ class Pipeline:
             window = (0, period_start)
         kept = self._climatologies.get(region)
         if kept is None or kept[0] != window:
-            history = [o for o in self._observations[region]
-                       if window[0] <= o.timestamp < window[1]]
+            history = _logged_between(self._observations[region], *window)
             kept = self._climatologies[region] = (
                 window, build_climatology(history, self.config.min_baseline_count))
         return kept[1]
@@ -242,8 +244,8 @@ class Pipeline:
             if period is None:
                 period = self._latest_period(region)
             start, end = period_bounds(period)
-            values = period_values(region, period, [
-                o for o in self._observations[region] if start <= o.timestamp < end], self.ns)
+            values = period_values(
+                region, period, _logged_between(self._observations[region], start, end), self.ns)
             return make_bulletin(
                 region=region,
                 period=period,
@@ -262,7 +264,7 @@ class Pipeline:
         observations = self._observations[region]
         if not observations:
             raise NoDataError(f"no observations for region {region}")
-        return format_utc_instant(max(o.timestamp for o in observations))[:7]
+        return format_utc_instant(observations[-1].timestamp)[:7]
 
     # -- triples --------------------------------------------------------------
 
@@ -350,10 +352,14 @@ class Pipeline:
                     f"no {name} in {directory}; re-run replay to persist the state")
         logs: dict[str, list[CanonicalObservation]] = {region: [] for region in self._observations}
         ids: set[str] = set()
+        iris: dict[str, Iri] = {}
 
         def log_observation(row) -> None:
-            obs = _logged_observation(row)
-            logs[self._region_of_new(obs, ids)].append(obs)
+            obs = _logged_observation(row, iris)
+            log = logs[self._region_of_new(obs, ids)]
+            if log and obs.timestamp < log[-1].timestamp:
+                raise ValueError(f"{obs.id.value} is earlier than its region's previous reading")
+            log.append(obs)
             ids.add(obs.id.value)
 
         _read_jsonl(directory / OBSERVATION_LOG_FILE, log_observation)
@@ -374,7 +380,7 @@ class Pipeline:
             self._observations = logs
             for region, log in logs.items():
                 last = max([o.timestamp for o in ik.observations if o.region == region]
-                           + [o.timestamp for o in log], default=None)
+                           + [o.timestamp for o in log[-1:]], default=None)
                 self._engines[region] = Engine(self.rules, EngineState(last=last))
             self._view = None
             self._climatologies = {}
@@ -411,24 +417,33 @@ _ROW_TYPES = {None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, fl
 
 
 def _observation_row(obs: CanonicalObservation) -> list:
-    values = [getattr(obs, field) for field, _ in _ROW_FIELDS]
-    return [v.value if isinstance(v, Iri) else v for v in values]
+    return [obs.id.value, obs.sensor_id.value, obs.property.value, obs.value,
+            obs.unit.value, obs.timestamp, obs.lat, obs.lon]     # in _ROW_FIELDS order
 
 
-def _logged_observation(row) -> CanonicalObservation:
+def _logged_observation(row, iris: dict[str, Iri] | None = None) -> CanonicalObservation:
     """The observation of one ``persist`` log row; a row of the wrong shape,
-    a value of the wrong type or out of range raises ValueError."""
+    a value of the wrong type or out of range raises ValueError. ``iris``
+    interns the sensor, property and unit IRIs across the rows of one restore."""
     if not isinstance(row, list) or len(row) != len(_ROW_FIELDS):
         raise ValueError(f"expected an array of {len(_ROW_FIELDS)} values")
-    fields = {}
     for (field, datatype), value in zip(_ROW_FIELDS, row):
         if type(value) not in _ROW_TYPES[datatype]:     # also rejects booleans
             raise ValueError(f"{field} must be of type "
                              f"{' or '.join(t.__name__ for t in _ROW_TYPES[datatype])}")
-        fields[field] = (Iri(value) if datatype is None
-                         else float(value) if datatype is Datatype.DOUBLE else value)
-    format_utc_instant(fields["timestamp"])     # raises past the year 9999
-    return CanonicalObservation(**fields)
+    obs_id, sensor, prop, value, unit, timestamp, lat, lon = row
+    if timestamp > MAX_UTC_INSTANT:
+        format_utc_instant(timestamp)     # raises ValueError past the year 9999
+    iris = {} if iris is None else iris
+    sensor, prop, unit = (iris.get(v) or iris.setdefault(v, Iri(v)) for v in (sensor, prop, unit))
+    return CanonicalObservation(Iri(obs_id), sensor, prop, float(value), unit, timestamp,
+                                float(lat), float(lon))
+
+
+def _logged_between(log: list[CanonicalObservation], start: int, end: int) -> list:
+    """The readings of a region's time-ordered log with ``start <= timestamp < end``."""
+    at = attrgetter("timestamp")
+    return log[bisect_left(log, start, key=at):bisect_left(log, end, key=at)]
 
 
 def _logged_firing(payload, regions) -> tuple[str, Firing]:

@@ -511,6 +511,27 @@ class TestReplayLineBytes:
         assert (summary.parsed, summary.rejected) == (2, {"Malformed": 1})
 
 
+LONE_SURROGATE_READING = ('{"sensor_id": "s2\\ud800", "property": "soil_hum", "value": 20, '
+                          '"unit": "%", "timestamp": "2020-06-03T00:00:00Z"}')
+
+
+class TestLoneSurrogateEscape:
+    """A JSON reading whose sensor id escapes to a lone surrogate, ASCII on the wire."""
+
+    def test_post_gets_400_without_a_traceback(self, server, capfd):
+        port, pipeline = server
+        assert raw_request(port, "POST", "/observations", LONE_SURROGATE_READING.encode()) == (
+            400, error("Malformed", "a field holds a lone surrogate, which UTF-8 cannot encode"))
+        assert pipeline.event_count == 0
+        assert capfd.readouterr().err == ""
+
+    def test_replay_tallies_it_malformed(self, scenario_dir, tmp_path):
+        data = tmp_path / "lines.txt"
+        data.write_text("json|" + LONE_SURROGATE_READING + "\n", encoding="ascii")
+        summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
+        assert (summary.parsed, summary.rejected) == (0, {"Malformed": 1})
+
+
 @pytest.fixture(scope="module")
 def persisted(tmp_path_factory):
     """A scenario replayed through the CLI, with its state persisted."""
@@ -557,6 +578,8 @@ class TestDamagedState:
         ("observations.jsonl", append_row(lambda row: row.__setitem__(1, row[1] + "9")),
          "belongs to no region"),
         ("observations.jsonl", append_row(lambda row: None), "observation already ingested"),
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(0, row[0] + "0")),
+         "is earlier than its region's previous reading"),
         ("facts.nt", lambda data: data + b"\xff", "facts.nt: 'utf-8' codec can't decode"),
     ])
     def test_commands_exit_2(self, persisted, tmp_path, capsys, file_name, damage, reported):

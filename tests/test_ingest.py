@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semdrought.ingest import (
+    MEMO_LIMIT,
     AlignmentTable,
     BadNumberError,
     BadTimestampError,
@@ -18,6 +19,7 @@ from semdrought.ingest import (
     MissingLocationError,
     OutOfRangeError,
     RawObservation,
+    SensorEntry,
     UnitEntry,
     UnitMismatchError,
     UnknownTermError,
@@ -234,6 +236,50 @@ class TestAlignmentTable:
         assert entry.lat is None
 
 
+class TestAlignmentMemo:
+    """``resolve`` and ``station`` memoize successes only, and forget them
+    when an entry is added."""
+
+    def test_a_term_added_after_a_failed_use_resolves(self):
+        table = AlignmentTable.from_json(TABLE_JSON, VOCAB)
+        with pytest.raises(UnknownTermError):
+            canonicalize(raw_csv(property_raw="moisture"), table)
+        table.add_term("moisture", NS.iri("ex:soilMoisture"))
+        assert canonicalize(raw_csv(property_raw="moisture"), table).property == \
+            NS.iri("ex:soilMoisture")
+
+    def test_a_sensor_added_after_use_replaces_the_minted_one(self):
+        table = AlignmentTable.from_json(TABLE_JSON, VOCAB)
+        minted = canonicalize(raw_csv(sensor_id_raw="s7"), table)
+        assert minted.sensor_id == NS.join("sensor/s7")
+        table.add_sensor("s7", SensorEntry(iri=NS.iri("ex:station/seven"), lat=-29.0, lon=26.0))
+        listed = canonicalize(raw_csv(sensor_id_raw="s7", lat_raw="", lon_raw=""), table)
+        assert (listed.sensor_id, listed.lat, listed.lon) == (NS.iri("ex:station/seven"),
+                                                              -29.0, 26.0)
+        assert listed.id == NS.join(f"obs/seven/{listed.timestamp}")
+
+    @pytest.mark.parametrize("raw, error, term", [
+        (dict(property_raw="frogcount"), UnknownTermError, "frogcount"),
+        (dict(unit_raw="furlong"), UnknownUnitError, "furlong"),
+        (dict(unit_raw="mm"), UnitMismatchError, ""),
+    ])
+    def test_a_failed_lookup_is_not_memoized(self, raw, error, term):
+        table = AlignmentTable.from_json(TABLE_JSON, VOCAB)
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                canonicalize(raw_csv(**raw), table)
+            assert caught.value.term == term
+        assert table.resolve.cache_info().currsize == 0
+
+    def test_distinct_sensor_ids_stay_within_the_bound(self):
+        table = AlignmentTable.from_json(TABLE_JSON, VOCAB)
+        for i in range(10_000):
+            obs = canonicalize(raw_csv(sensor_id_raw=f"ghost-{i}"), table)
+        assert obs.sensor_id == NS.join("sensor/ghost-9999")
+        assert table.station.cache_info().currsize <= MEMO_LIMIT
+        assert table.resolve.cache_info().currsize == 1
+
+
 def raw_csv(**kw) -> RawObservation:
     defaults = dict(
         sensor_id_raw="s1", property_raw="soil_hum",
@@ -245,6 +291,11 @@ def raw_csv(**kw) -> RawObservation:
 
 
 class TestCanonicalize:
+    @pytest.mark.parametrize("field", ["sensor_id_raw", "property_raw", "unit_raw", "lat_raw"])
+    def test_a_lone_surrogate_is_malformed(self, field):
+        with pytest.raises(MalformedError, match="lone surrogate"):
+            raw_csv(**{field: "s\ud800"})
+
     def test_alignment_entry_resolution(self):
         obs = canonicalize(raw_csv(), TABLE)
         assert obs.property == NS.iri("ex:soilMoisture")

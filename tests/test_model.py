@@ -4,10 +4,11 @@ import math
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semdrought.model import (
+    MAX_UTC_INSTANT,
     AmbiguousError,
     BadLiteralError,
     BlankNode,
@@ -123,6 +124,35 @@ class TestLexicalForms:
                   for m in ("00", "59", "60") for s in ("00", "59", "60", "61")]
         for text in dates + clocks:
             assert parsed(text) == reference(text), text
+
+
+class TestInstantCodec:
+    """The two codecs against datetime over every instant with a four-digit year."""
+
+    @settings(max_examples=2000, derandomize=True)
+    @given(st.integers(min_value=0, max_value=MAX_UTC_INSTANT))
+    @example(0)
+    @example(951782400)
+    @example(4107542400)
+    @example(MAX_UTC_INSTANT)
+    def test_equal_to_datetime(self, ts):
+        text = datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert format_utc_instant(ts) == text
+        assert parse_utc_instant(text) == ts
+
+    @pytest.mark.parametrize("bad", [
+        "2023-02-29T00:00:00Z", "2100-02-29T00:00:00Z", "2023-04-31T00:00:00Z",
+        "2023-13-01T00:00:00Z", "2023-00-10T00:00:00Z", "0000-01-01T00:00:00Z",
+        "2023-01-01T24:00:00Z", "2023-01-01T23:60:00Z", "2023-01-01T23:59:60Z",
+        "10000-01-01T00:00:00Z",
+    ])
+    def test_parse_rejects(self, bad):
+        with pytest.raises(ValueError, match="not an ISO-8601 UTC instant"):
+            parse_utc_instant(bad)
+
+    def test_format_rejects_the_year_10000(self):
+        with pytest.raises(ValueError, match="year 10000 is out of range"):
+            format_utc_instant(MAX_UTC_INSTANT + 1)
 
 
 class TestTerms:
