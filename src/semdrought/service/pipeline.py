@@ -421,7 +421,7 @@ def _observation_row(obs: CanonicalObservation) -> list:
             obs.unit.value, obs.timestamp, obs.lat, obs.lon]     # in _ROW_FIELDS order
 
 
-def _logged_observation(row, iris: dict[str, Iri] | None = None) -> CanonicalObservation:
+def _logged_observation(row, iris: dict[str, Iri]) -> CanonicalObservation:
     """The observation of one ``persist`` log row; a row of the wrong shape,
     a value of the wrong type or out of range raises ValueError. ``iris``
     interns the sensor, property and unit IRIs across the rows of one restore."""
@@ -433,8 +433,7 @@ def _logged_observation(row, iris: dict[str, Iri] | None = None) -> CanonicalObs
                              f"{' or '.join(t.__name__ for t in _ROW_TYPES[datatype])}")
     obs_id, sensor, prop, value, unit, timestamp, lat, lon = row
     if timestamp > MAX_UTC_INSTANT:
-        format_utc_instant(timestamp)     # raises ValueError past the year 9999
-    iris = {} if iris is None else iris
+        format_utc_instant(timestamp)     # raises past the year 9999, as datetime does
     sensor, prop, unit = (iris.get(v) or iris.setdefault(v, Iri(v)) for v in (sensor, prop, unit))
     return CanonicalObservation(Iri(obs_id), sensor, prop, float(value), unit, timestamp,
                                 float(lat), float(lon))
@@ -472,7 +471,8 @@ def _read_jsonl(path: Path, build) -> list:
         if line.strip():
             try:
                 out.append(build(json.loads(line)))
-            except (KeyError, TypeError, ValueError, OverflowError, SemDroughtError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, OSError,
+                    SemDroughtError) as exc:
                 raise ParseError(number, f"{path}: {exc}") from exc
     return out
 

@@ -575,6 +575,9 @@ class TestDamagedState:
          "value must be of type int or float"),
         ("observations.jsonl", append_row(lambda row: row.__setitem__(5, 10 ** 12)),
          "year 33658 is out of range"),
+        # past what the platform's time functions take: OSError on Linux
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(5, 10 ** 18)),
+         "observations.jsonl: "),
         ("observations.jsonl", append_row(lambda row: row.__setitem__(1, row[1] + "9")),
          "belongs to no region"),
         ("observations.jsonl", append_row(lambda row: None), "observation already ingested"),

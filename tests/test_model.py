@@ -96,6 +96,8 @@ class TestLexicalForms:
             "2023-01-01T00:00:00.5Z",     # sub-second precision
             "2023-01-01 00:00:00Z",
             "not a date",
+            "2100-02-29T00:00:00Z",       # not a leap year
+            "10000-01-01T00:00:00Z",      # five-digit year
         ],
     )
     def test_rejects_non_utc_instants(self, bad):
@@ -127,7 +129,8 @@ class TestLexicalForms:
 
 
 class TestInstantCodec:
-    """The two codecs against datetime over every instant with a four-digit year."""
+    """The two codecs against datetime over every instant with a four-digit year;
+    ``test_field_ranges_match_strptime`` covers the field edges."""
 
     @settings(max_examples=2000, derandomize=True)
     @given(st.integers(min_value=0, max_value=MAX_UTC_INSTANT))
@@ -139,16 +142,6 @@ class TestInstantCodec:
         text = datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         assert format_utc_instant(ts) == text
         assert parse_utc_instant(text) == ts
-
-    @pytest.mark.parametrize("bad", [
-        "2023-02-29T00:00:00Z", "2100-02-29T00:00:00Z", "2023-04-31T00:00:00Z",
-        "2023-13-01T00:00:00Z", "2023-00-10T00:00:00Z", "0000-01-01T00:00:00Z",
-        "2023-01-01T24:00:00Z", "2023-01-01T23:60:00Z", "2023-01-01T23:59:60Z",
-        "10000-01-01T00:00:00Z",
-    ])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError, match="not an ISO-8601 UTC instant"):
-            parse_utc_instant(bad)
 
     def test_format_rejects_the_year_10000(self):
         with pytest.raises(ValueError, match="year 10000 is out of range"):

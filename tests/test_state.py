@@ -162,7 +162,7 @@ class TestObservationRows:
     @given(observations)
     def test_logged_row_round_trips_every_field(self, obs):
         row = json.loads(json.dumps(_observation_row(obs)))
-        assert _logged_observation(row) == obs
+        assert _logged_observation(row, {}) == obs
 
 
 # --- derived view against the seed-way store -------------------------------------
@@ -351,7 +351,7 @@ class TestRestore:
         assert cli_main(["export", "--config", config, "--out", str(out)]) == 0
         given = set(TripleStore.load(facts_text))
         for line in (state / OBSERVATION_LOG_FILE).read_text().splitlines():
-            given.update(observation_to_triples(ns, _logged_observation(json.loads(line))))
+            given.update(observation_to_triples(ns, _logged_observation(json.loads(line), {})))
         fixpoint = TripleStore()
         for triple in oracle_fixpoint(given, builtin_rules(ns)):
             fixpoint.insert(triple)
@@ -441,7 +441,7 @@ class TestOntologyDerivations:
         expected = set(TripleStore.load(facts_text))
         state = load_config(scenario.config_path(target)).persistence_dir
         for line in (state / OBSERVATION_LOG_FILE).read_text().splitlines():
-            expected.update(observation_to_triples(ns, _logged_observation(json.loads(line))))
+            expected.update(observation_to_triples(ns, _logged_observation(json.loads(line), {})))
 
         with tempfile.TemporaryDirectory() as tmp:
             pipeline = restored_copy(target, Path(tmp) / "copy", facts_text)
