@@ -22,6 +22,11 @@ Semantics pinned here:
   instant keep their arrival order.
 * Each rule's pattern is compiled once into a truth closure over those
   columns; a rule's evidence is built only when it fires.
+* SLOPE is the least-squares slope per day, exact and then rounded once,
+  from integer prefix sums kept per kind it reads, as far as a window
+  reads. SUM and AVG are ``math.fsum`` over the window's values. Nothing
+  raises on finite values: a SUM or SLOPE past the float range is an
+  infinity, and an AVG whose ``fsum`` overflows is its exact mean, rounded.
 * All an engine carries from one event to the next is one value,
   ``EngineState``, and ``Engine(rules, state)`` resumes from it.
 """
@@ -29,12 +34,15 @@ Semantics pinned here:
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
+from operator import sub
 
 from ..errors import SemDroughtError
 from .rules import COMPARATORS, Absent, And, CepRule, Not, Or, Seq
 
-SECONDS_PER_DAY = 86400.0
+SECONDS_PER_DAY = 86400
+SCALE = 1074    # every finite float times 2**SCALE is an integer
 
 
 class OutOfOrderError(SemDroughtError):
@@ -75,12 +83,14 @@ def window_aggregate(values: list[float], fn: str) -> float:
     """AVG/MIN/MAX/SUM/COUNT over a window's values."""
     if fn == "COUNT":
         return float(len(values))
-    if fn == "SUM":
-        return math.fsum(values)
-    if not values:
+    if not values and fn != "SUM":
         raise EmptyWindowError(f"{fn} over an empty window")
-    if fn == "AVG":
-        return math.fsum(values) / len(values)
+    if fn in ("SUM", "AVG"):
+        count = len(values) if fn == "AVG" else 1
+        try:
+            return math.fsum(values) / count
+        except OverflowError:   # the exact sum over count, rounded once
+            return _rounded(sum(map(_scaled, values)), count << SCALE)
     if fn == "MIN":
         return min(values)
     if fn == "MAX":
@@ -88,30 +98,45 @@ def window_aggregate(values: list[float], fn: str) -> float:
     raise ValueError(f"unknown aggregate {fn!r}")
 
 
-def slope(times: list[int], values: list[float]) -> float:
-    """Least-squares slope in value units per day of values at ``times``."""
-    if len(set(times)) < 2:
+def _scaled(value: float) -> int:
+    """``value * 2**SCALE``, exactly."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (SCALE + 1 - denominator.bit_length())
+
+
+def _rounded(numerator: int, denominator: int) -> float:
+    """``numerator / denominator > 0`` correctly rounded; infinite past the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def _slope_of(n: int, st: int, stt: int, sv: int, stv: int) -> float:
+    """The slope of points from their count and their sums of t, t*t, V and
+    t*V, t in seconds and V a value times 2**SCALE."""
+    spread = n * stt - st * st     # zero unless two of the times differ
+    if not spread:
         raise DegenerateSlopeError("slope needs two points with distinct times")
-    days = [t / SECONDS_PER_DAY for t in times]
-    t_mean = math.fsum(days) / len(days)
-    v_mean = math.fsum(values) / len(values)
-    numerator = math.fsum((t - t_mean) * (v - v_mean) for t, v in zip(days, values))
-    denominator = math.fsum((t - t_mean) ** 2 for t in days)
-    return numerator / denominator
+    return _rounded(SECONDS_PER_DAY * (n * stv - st * sv), spread << SCALE)
 
 
-def _sequence_pairs(first: list[Event], second: list[Event]) -> list[tuple[Event, Event]]:
-    """Earliest-first, non-overlapping A-then-B pairs (strictly later B)."""
-    pairs = []
-    j = 0
-    for a in first:
-        while j < len(second) and second[j].timestamp <= a.timestamp:
-            j += 1
-        if j == len(second):
-            break
-        pairs.append((a, second[j]))
-        j += 1
-    return pairs
+def _extend_sums(sums: list, times, values) -> list:
+    """``sums`` with one prefix-sum entry appended per point: the count and
+    the sums of t, t*t, V and t*V, V = value * 2**SCALE, of the valued ones."""
+    n, st, stt, sv, stv = sums[-1]
+    for t, v in zip(times, values):
+        if v is not None:
+            v = _scaled(v)
+            n, st, stt, sv, stv = n + 1, st + t, stt + t * t, sv + v, stv + t * v
+        sums.append((n, st, stt, sv, stv))
+    return sums
+
+
+def slope(times: list[int], values: list[float]) -> float:
+    """Least-squares slope in value units per day of values at ``times``
+    (integer seconds), correctly rounded."""
+    return _slope_of(*_extend_sums([(0,) * 5], times, values)[-1])
 
 
 def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
@@ -131,15 +156,17 @@ def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
             return ((lambda start, end: any([t(start, end) for t, _ in parts])),
                     (lambda start, end: [e for t, evidence in parts if t(start, end)
                                          for e in evidence(start, end)]))
-        every = all if decisive else (lambda verdicts: all(list(verdicts)))
-        return ((lambda start, end: every(t(start, end) for t, _ in parts)),
+        truths = [t for t, _ in parts]
+        truth = (reduce(lambda a, b: lambda start, end: a(start, end) and b(start, end), truths)
+                 if decisive else (lambda start, end: all([t(start, end) for t in truths])))
+        return (truth,
                 (lambda start, end: [e for _, evidence in parts for e in evidence(start, end)]))
     if isinstance(node, Not):
         child, _ = _compile(node.child, held, valueless, False)
         return (lambda start, end: not child(start, end)), no_evidence
     if isinstance(node, Seq):
-        first, first_events, _ = held[node.first]
-        second, second_events, _ = held[node.second]
+        first, first_events, _, _ = held[node.first]
+        second, second_events, _, _ = held[node.second]
 
         def seq_truth(start, end):
             # the first after start and the last second up to end, in order, are in the window
@@ -147,14 +174,20 @@ def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
             return lo < len(first) and hi > 0 and first[lo] < second[hi - 1]
 
         def seq_evidence(start, end):
-            pairs = _sequence_pairs(
-                first_events[bisect_right(first, start):bisect_right(first, end)],
-                second_events[bisect_right(second, start):bisect_right(second, end)])
-            return [e for pair in pairs for e in pair]
+            # earliest-first, non-overlapping pairs, each second strictly later than its first
+            found = []
+            at, stop = bisect_right(second, start), bisect_right(second, end)
+            for i in range(bisect_right(first, start), bisect_right(first, end)):
+                at = bisect_right(second, first[i], at, stop)
+                if at == stop:
+                    break
+                found += first_events[i], second_events[at]
+                at += 1
+            return found
         return seq_truth, seq_evidence
 
     kind = node.kind
-    times, events, values = held[kind]
+    times, events, values, sums = held[kind]
 
     def events_in(start, end):
         return events[bisect_right(times, start):bisect_right(times, end)]
@@ -162,32 +195,32 @@ def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
     def count_in(start, end):
         return bisect_right(times, end) - bisect_right(times, start)
 
-    def valued_in(start, end):
-        """The window's timestamps and values, valueless events left out."""
-        lo, hi = bisect_right(times, start), bisect_right(times, end)
-        if kind not in valueless:
-            return times[lo:hi], values[lo:hi]
-        kept = [(t, v) for t, v in zip(times[lo:hi], values[lo:hi]) if v is not None]
-        return [t for t, _ in kept], [v for _, v in kept]
+    def values_in(start, end):
+        """The window's values, valueless events left out."""
+        window = values[bisect_right(times, start):bisect_right(times, end)]
+        return [v for v in window if v is not None] if kind in valueless else window
 
     if isinstance(node, Absent):
         return (lambda start, end: not count_in(start, end)), no_evidence
     compare, constant = COMPARATORS[node.cmp], node.constant
     if node.fn is None:
-        return ((lambda start, end: any(map(compare, valued_in(start, end)[1], repeat(constant)))),
+        return ((lambda start, end: any(map(compare, values_in(start, end), repeat(constant)))),
                 (lambda start, end: [e for e in events_in(start, end)
                                      if e.value is not None and compare(e.value, constant)]))
     if node.fn == "SLOPE":
         def trend_truth(start, end):
+            lo, hi = bisect_right(times, start), bisect_right(times, end)
+            if len(sums) <= hi:     # extend the prefix sums up to the window's end
+                _extend_sums(sums, times[len(sums) - 1:hi], values[len(sums) - 1:hi])
             try:
-                return compare(slope(*valued_in(start, end)), constant)
+                return compare(_slope_of(*map(sub, sums[hi], sums[lo])), constant)
             except DegenerateSlopeError:
                 return False
         return trend_truth, events_in
     if node.fn == "COUNT":
         return (lambda start, end: compare(float(count_in(start, end)), constant)), events_in
     fn = node.fn
-    return ((lambda start, end: compare(window_aggregate(valued_in(start, end)[1], fn), constant)),
+    return ((lambda start, end: compare(window_aggregate(values_in(start, end), fn), constant)),
             events_in)
 
 
@@ -222,11 +255,13 @@ class Engine:
         self._max_length = max((r.window.length for r in rules), default=0)
         reads = {r.name: _leaf_kinds(r.pattern) for r in rules}
         held = dict(state.held)
-        # kind -> (timestamps, events, values) in time order, for each kind a rule reads
-        self._held = {kind: ([e.timestamp for e in events], list(events), [e.value for e in events])
+        # kind -> (timestamps, events, values, prefix sums) in time order, for each
+        # kind a rule reads; sums[i] sums the first i events, kept for as many as read
+        self._held = {kind: ([e.timestamp for e in events], list(events), [e.value for e in events],
+                             [(0,) * 5])
                       for kind in dict.fromkeys(k for kinds in reads.values() for k in kinds)
                       for events in [held.get(kind, ())]}
-        self._valueless = {kind for kind, (_, _, values) in self._held.items() if None in values}
+        self._valueless = {kind for kind, (_, _, values, _) in self._held.items() if None in values}
         # rule -> (truth, evidence, whether it reads a kind twice and so can list an event twice)
         self._patterns = {r.name: (*_compile(r.pattern, self._held, self._valueless),
                                    len(set(reads[r.name])) < len(reads[r.name])) for r in rules}
@@ -236,7 +271,7 @@ class Engine:
     def state(self) -> EngineState:
         """A copy of what the engine holds; later pushes leave it unchanged."""
         return EngineState(
-            tuple((kind, tuple(events)) for kind, (_, events, _) in self._held.items() if events),
+            tuple((kind, tuple(events)) for kind, (_, events, *_) in self._held.items() if events),
             tuple(self._cursors.items()), self._last_ts)
 
     def push_event(self, event: Event) -> list[Firing]:
@@ -249,9 +284,12 @@ class Engine:
             for rule in self.rules:
                 stride = rule.window.stride
                 self._cursors[rule.name] = -(-event.timestamp // stride) * stride
-        arrived = event.timestamp
-        firings = (self._settle(lambda rule, cursor: cursor < arrived)
-                   if min(self._cursors.values(), default=arrived) < arrived else [])
+        arrived, cursors = event.timestamp, self._cursors
+        firings = []
+        if min(cursors.values(), default=arrived) < arrived:
+            while (boundary := min(cursors.values())) < arrived:
+                firings += self._settle_at(boundary, self.rules)
+            self._prune()
         self._hold(event)
         self._last_ts = event.timestamp
         return firings
@@ -260,7 +298,7 @@ class Engine:
         """Drain every boundary whose window starts before the last event."""
         if not self._cursors:
             return []
-        return self._settle(self._drained_before(math.inf))
+        return self._drain(self._drained_before(math.inf))
 
     def preview(self, before: int) -> list[Firing]:
         """The firings ``flush`` would return now with a window end before
@@ -270,7 +308,7 @@ class Engine:
         due = self._drained_before(before)
         if not self._cursors or not any(due(r, self._cursors[r.name]) for r in self.rules):
             return []
-        return Engine(self.rules, self.state())._settle(due)
+        return Engine(self.rules, self.state())._drain(due)
 
     def run(self, events: list[Event]) -> list[Firing]:
         firings = []
@@ -287,35 +325,39 @@ class Engine:
         last = self._last_ts
         return lambda rule, cursor: cursor < before and cursor - rule.window.length < last
 
-    def _settle(self, eligible) -> list[Firing]:
+    def _drain(self, eligible) -> list[Firing]:
+        """Settle, in ascending order, every boundary ``eligible(rule, cursor)``
+        admits as the cursors advance."""
         firings: list[Firing] = []
-        while True:
-            due = [r for r in self.rules if eligible(r, self._cursors[r.name])]
-            if not due:
-                break
+        while due := [r for r in self.rules if eligible(r, self._cursors[r.name])]:
             boundary = min(self._cursors[r.name] for r in due)
-            at_boundary = [r for r in due if self._cursors[r.name] == boundary]
-            emitted: list[Event] = []
-            for rule in at_boundary:   # self.rules is name-sorted
-                firing = self._evaluate_rule(rule, boundary)
-                if firing is not None:
-                    firings.append(firing)
-                    emitted.append(Event(kind=rule.emit, timestamp=boundary,
-                                         attributes=(("rule", rule.name),)))
-                self._cursors[rule.name] = boundary + rule.window.stride
-            for event in emitted:
-                self._hold(event)
-            self._prune()
+            firings += self._settle_at(boundary, due)
+        self._prune()
+        return firings
+
+    def _settle_at(self, boundary: int, rules: list[CepRule]) -> list[Firing]:
+        """Evaluate those of ``rules`` (name-sorted) whose next boundary is
+        ``boundary``, advance their cursors and hold what they emit."""
+        firings = []
+        for rule in [r for r in rules if self._cursors[r.name] == boundary]:
+            firing = self._evaluate_rule(rule, boundary)
+            if firing is not None:
+                firings.append(firing)
+            self._cursors[rule.name] = boundary + rule.window.stride
+        for firing in firings:
+            self._hold(Event(kind=firing.kind, timestamp=boundary,
+                             attributes=(("rule", firing.rule),)))
         return firings
 
     def _hold(self, event: Event) -> None:
         held = self._held.get(event.kind)
         if held is not None:
-            times, events, values = held
+            times, events, values, sums = held
             at = bisect_right(times, event.timestamp)   # after its equals: arrival order
             times.insert(at, event.timestamp)
             events.insert(at, event)
             values.insert(at, event.value)
+            del sums[at + 1:]
             if event.value is None:
                 self._valueless.add(event.kind)
 
@@ -335,6 +377,8 @@ class Engine:
 
     def _prune(self):
         horizon = min(self._cursors.values()) - self._max_length
-        for times, events, values in self._held.values():
-            cut = bisect_right(times, horizon)
-            del times[:cut], events[:cut], values[:cut]
+        for times, events, values, sums in self._held.values():
+            if times and times[0] <= horizon:
+                cut = bisect_right(times, horizon)
+                del times[:cut], events[:cut], values[:cut], sums[:cut]
+                sums or sums.append((0,) * 5)     # read as differences, so any origin will do

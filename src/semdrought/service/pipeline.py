@@ -15,7 +15,7 @@ import os
 import threading
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 from operator import attrgetter
 from pathlib import Path
@@ -317,23 +317,19 @@ class Pipeline:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self.lock:
-            _write_jsonl(directory / OBSERVATION_LOG_FILE, (
-                _observation_row(obs) for log in self._observations.values() for obs in log))
+            _atomic_write(directory / OBSERVATION_LOG_FILE, "".join(
+                _observation_row(obs) + "\n" for log in self._observations.values() for obs in log))
             facts = self._facts
             _atomic_write(directory / FACTS_FILE, TripleStore().serialize(
                 triple_text(t) for t in facts if not facts.is_inferred(t)))
-            _write_jsonl(directory / IK_LOG_FILE, ({
-                "indicator_id": o.indicator_id,
-                "timestamp": format_utc_instant(o.timestamp),
-                "region": o.region,
-                "confidence": o.confidence,
-            } for o in self.ik.observations))
-            _write_jsonl(directory / FIRING_LOG_FILE, ({
-                "region": region,
-                "rule": firing.rule,
-                "at": format_utc_instant(firing.window_end),
-                "kind": firing.kind,
-            } for region, firing in self._firings))
+            _atomic_write(directory / IK_LOG_FILE, "".join(
+                f'{{"confidence": {o.confidence!r}, "indicator_id": {_quote(o.indicator_id)}, '
+                f'"region": {_quote(o.region)}, "timestamp": "{format_utc_instant(o.timestamp)}"'
+                '}\n' for o in self.ik.observations))
+            _atomic_write(directory / FIRING_LOG_FILE, "".join(
+                f'{{"at": "{format_utc_instant(firing.window_end)}", '
+                f'"kind": {_quote(firing.kind)}, "region": {_quote(region)}, '
+                f'"rule": {_quote(firing.rule)}}}\n' for region, firing in self._firings))
 
     def restore(self, directory: str | Path) -> None:
         """Rebuild forecastable state from persisted artifacts.
@@ -416,9 +412,15 @@ _ROW_FIELDS = (("id", None),) + tuple((f, d) for _, f, d in OBSERVATION_SHAPE)
 _ROW_TYPES = {None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, float)}
 
 
-def _observation_row(obs: CanonicalObservation) -> list:
-    return [obs.id.value, obs.sensor_id.value, obs.property.value, obs.value,
-            obs.unit.value, obs.timestamp, obs.lat, obs.lon]     # in _ROW_FIELDS order
+# log rows are written as json.JSONEncoder(sort_keys=True) writes them: strings
+# through its escaping, numbers as their repr, which it uses for finite floats
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _observation_row(obs: CanonicalObservation) -> str:
+    return (f"[{_quote(obs.id.value)}, {_quote(obs.sensor_id.value)}, "
+            f"{_quote(obs.property.value)}, {obs.value!r}, {_quote(obs.unit.value)}, "
+            f"{obs.timestamp!r}, {obs.lat!r}, {obs.lon!r}]")     # in _ROW_FIELDS order
 
 
 def _logged_observation(row, iris: dict[str, Iri]) -> CanonicalObservation:
@@ -452,13 +454,6 @@ def _logged_firing(payload, regions) -> tuple[str, Firing]:
         rule=str(payload["rule"]), window_end=parse_utc_instant(payload["at"]),
         kind=str(payload["kind"]),
     )
-
-
-_encode_record = json.JSONEncoder(sort_keys=True).encode   # one encoder for every record
-
-
-def _write_jsonl(path: Path, records: Iterable) -> None:
-    _atomic_write(path, "".join(_encode_record(r) + "\n" for r in records))
 
 
 def _read_jsonl(path: Path, build) -> list:

@@ -9,8 +9,10 @@ full firings, evidence included, with flushes interleaved.
 """
 
 import copy
+import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +34,7 @@ from semdrought.cep import (
     slope,
     window_aggregate,
 )
-from semdrought.cep.engine import EngineState, _sequence_pairs
+from semdrought.cep.engine import EngineState
 from semdrought.cep.rules import COMPARATORS
 from semdrought.model import Namespaces
 
@@ -249,6 +251,17 @@ class TestAggregates:
         firings = Engine([rule(f"RULE r WHEN {pattern} WITHIN 1d EMIT E")]).run(stream)
         assert [f.evidence for f in firings] == ([tuple(stream)] if fires else [])
 
+    def test_sums_past_the_float_range_are_infinite_and_means_exact(self):
+        big = [1e308, 1e308, 1.0, -3e307]
+        assert window_aggregate(big[:2], "SUM") == math.inf
+        assert window_aggregate([-v for v in big[:2]], "SUM") == -math.inf
+        assert window_aggregate([1e308, 1e308, -1e308], "SUM") == 1e308   # fsum overflows
+        assert window_aggregate(big, "SUM") == float(sum(map(Fraction, big)))   # 1.7e308
+        assert window_aggregate(big, "AVG") == float(sum(map(Fraction, big)) / len(big))
+        assert window_aggregate(big[:2], "AVG") == 1e308
+        engine = Engine([rule("RULE r WHEN SUM(k) > 1 AND AVG(k) > 1 WITHIN 1d EMIT E")])
+        assert len(engine.run([ev("k", 10, 1e308), ev("k", 20, 1e308), ev("k", DAY + 5, 1.0)])) == 1
+
     def test_aggregate_of_valueless_events_only_is_undefined(self):
         engine = Engine([rule("RULE r WHEN NOT AVG(k) > 0 WITHIN 1d EMIT E")])
         assert engine.run([ev("k", 10), ev("k", 20)]) == []
@@ -282,6 +295,44 @@ class TestSlope:
                 n * sum(t * t for t in days) - sum(days) ** 2
             )
             assert slope(*zip(*pts)) == pytest.approx(beta, abs=1e-9)
+
+    def test_slopes_near_the_float_range(self):
+        assert slope([0, 2 * DAY], [-1e308, 1e308]) == 1e308
+        assert slope([0, DAY], [-1e308, 1e308]) == math.inf
+        assert slope([0, 1, 2], [1e308, 0.0, -1e308]) == -math.inf
+        assert slope([0, DAY, 2 * DAY], [1e308, 1e308, 1e308]) == 0.0
+        assert slope([0, DAY], [5e-324, 0.0]) == -5e-324
+
+    def test_slope_is_the_exact_least_squares_slope_rounded_once(self):
+        rng = random.Random(1074)
+        for _ in range(200):
+            times = [rng.randrange(0, 10**9) for _ in range(rng.randint(2, 30))]
+            values = [rng.choice([rng.uniform(-1e3, 1e3), rng.uniform(-1e300, 1e300), 1e-300])
+                      for _ in times]
+            if len(set(times)) < 2:
+                continue
+            days = [Fraction(t, DAY) for t in times]
+            exact = list(map(Fraction, values))
+            t_mean, v_mean = sum(days) / len(days), sum(exact) / len(exact)
+            expected = (sum((t - t_mean) * (v - v_mean) for t, v in zip(days, exact))
+                        / sum((t - t_mean) ** 2 for t in days))
+            assert slope(times, values) == float(expected)
+
+    def test_a_reading_held_before_emitted_events_counts_in_later_slopes(self):
+        """A flush emits E up to 10 h past the last event and the SLOPE rule
+        reads them; readings of E pushed later land before those emitted events."""
+        rules = [rule("RULE a WHEN COUNT(k) >= 1 WITHIN 10h STEP 1h EMIT E"),
+                 rule("RULE s WHEN SLOPE(E) > 0 WITHIN 5h STEP 1h EMIT S")]
+        engine, reference = Engine(rules), ReScanEngine(rules)
+        engine.push_event(ev("k", 10, 1.0))
+        reference.push_event(ev("k", 10, 1.0))
+        assert full_firings(engine.flush()) == reference.flush()
+        got, expected = [], []
+        for event in [ev("E", 5000, 1.0), ev("E", 6000, 2.0), ev("k", 30000, 1.0)]:
+            got += full_firings(engine.push_event(event))
+            expected += reference.push_event(event)
+        assert got == expected
+        assert ("s", 21600) in [(name, end) for name, end, _ in got]
 
     def test_degenerate_trend_is_false_but_not_flips_it(self):
         false_engine = Engine([rule("RULE r WHEN SLOPE(k) < 99 WITHIN 1d EMIT E")])
@@ -474,6 +525,20 @@ class TestOracleEquivalence:
             assert got == expected, f"trial {trial} diverged"
 
 
+def _sequence_pairs(first: list[Event], second: list[Event]) -> list[tuple[Event, Event]]:
+    """Earliest-first, non-overlapping A-then-B pairs (strictly later B)."""
+    pairs = []
+    j = 0
+    for a in first:
+        while j < len(second) and second[j].timestamp <= a.timestamp:
+            j += 1
+        if j == len(second):
+            break
+        pairs.append((a, second[j]))
+        j += 1
+    return pairs
+
+
 def _evaluate(node, by_kind: dict[str, list[Event]]) -> tuple[bool, list[Event]]:
     """Truth value plus contributing events of a pattern over a window held
     as lists of events by kind; EmptyWindowError escapes to the rule level
@@ -647,6 +712,75 @@ class TestPreview:
             got.extend(engine.flush())
             assert full_firings(got) == full_firings(Engine(rules).run(stream)), (
                 f"trial {trial} diverged")
+
+
+def slope_heavy_rules(rng: random.Random, count: int) -> list[CepRule]:
+    """Rules over the kinds of ``random_stream`` and each other's emitted
+    kinds, most of whose leaves are SLOPEs, with SEQ and aggregates beside."""
+    kinds = ["k0", "k1", "k2", "k3"]
+    rules = []
+    for i in range(count):
+        stride = rng.choice([600, 1800, 3600])
+        readable = kinds + [f"E{j}" for j in range(count) if j != i]
+
+        def leaf():
+            kind, cmp = rng.choice(readable), rng.choice(["<", "<=", ">", ">=", "!="])
+            roll = rng.random()
+            if roll < 0.6:
+                return Compare("SLOPE", kind, cmp, round(rng.uniform(-40, 40), 2))
+            if roll < 0.8:
+                return Seq(kind, rng.choice(readable))
+            fn = rng.choice(["SUM", "AVG", "MAX"])
+            return Compare(fn, kind, cmp, round(rng.uniform(-2, 2), 2))
+
+        shape = rng.random()
+        pattern = (leaf() if shape < 0.4 else Not(leaf()) if shape < 0.55
+                   else (And if shape < 0.8 else Or)((leaf(), leaf())))
+        window = WindowSpec(stride * rng.randint(1, 6), stride)
+        rules.append(CepRule(name=f"r{i:02d}", window=window, pattern=pattern, emit=f"E{i}",
+                             severity_weight=0.5))
+    return rules
+
+
+class TestSlopeHeavyRuleSets:
+    def test_firings_evidence_and_previews_match_re_scan(self):
+        """Prefix-sum SLOPE, the push path's settle loop and bisected SEQ
+        evidence against the re-scan engine: valueless events of SLOPE kinds,
+        pushed events of emitted kinds, values near the float range, flushes
+        mid-stream, previews against a twin's flush."""
+        rng = random.Random(20261021)
+        fired = previewed = 0
+        for trial in range(12):
+            rules = slope_heavy_rules(rng, rng.randint(2, 8))
+            stream, ts = [], rng.randint(0, 3600)
+            for _ in range(rng.randint(50, 300)):
+                # same-instant runs, and instants on the boundary grid
+                ts += rng.choice([0, rng.randint(1, 400), 600 - ts % 600])
+                kind = rng.choice(rules).emit if rng.random() < 0.15 else f"k{rng.randrange(4)}"
+                roll = rng.random()
+                value = (None if roll < 0.1 else rng.choice([1e308, -1e308, 5e-324]) if roll < 0.13
+                         else round(rng.uniform(-2, 2), 4))
+                stream.append(ev(kind, ts, value))
+            engine, reference = Engine(rules), ReScanEngine(rules)
+            got, expected = [], []
+            for event in stream:
+                got.extend(full_firings(engine.push_event(event)))
+                expected.extend(reference.push_event(event))
+                if rng.random() < 0.08:
+                    flushed = Engine(rules, engine.state()).flush()
+                    for before in [event.timestamp + rng.randint(0, 4 * 3600)] + [
+                            f.window_end for f in flushed[:2]]:
+                        assert full_firings(engine.preview(before)) == full_firings(
+                            [f for f in flushed if f.window_end < before]), f"trial {trial}"
+                        previewed += 1
+                if rng.random() < 0.05:
+                    got.extend(full_firings(engine.flush()))
+                    expected.extend(reference.flush())
+            got.extend(full_firings(engine.flush()))
+            expected.extend(reference.flush())
+            assert got == expected, f"trial {trial} diverged"
+            fired += len(expected)
+        assert fired > 200 and previewed > 50
 
 
 def resume_cases(seed: int):

@@ -532,6 +532,27 @@ class TestLoneSurrogateEscape:
         assert (summary.parsed, summary.rejected) == (0, {"Malformed": 1})
 
 
+# two readings of 1e308 in one window: the AVG of the scenario's dry_spell
+# rule overflows math.fsum at every boundary whose window holds both
+OVERFLOWING_RAIN = [f"csv|s1,rain,{'1e308' if day < 3 else 1},mm,2020-06-{day:02d}T00:00:00Z,,"
+                    for day in range(1, 29)]
+
+
+class TestOverflowingWindow:
+    def test_later_readings_are_accepted(self, scenario_dir):
+        pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
+        for line in OVERFLOWING_RAIN:
+            pipeline.ingest_payload(*line.split("|"))
+        assert pipeline.event_count == len(OVERFLOWING_RAIN)
+        assert pipeline.flush_engines() == 0
+
+    def test_replay_tallies_every_line(self, scenario_dir, tmp_path):
+        data = tmp_path / "lines.txt"
+        data.write_text("".join(line + "\n" for line in OVERFLOWING_RAIN), encoding="ascii")
+        summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
+        assert (summary.parsed, summary.rejected, summary.firings) == (len(OVERFLOWING_RAIN), {}, 0)
+
+
 @pytest.fixture(scope="module")
 def persisted(tmp_path_factory):
     """A scenario replayed through the CLI, with its state persisted."""

@@ -37,6 +37,8 @@ from semdrought.service import Pipeline, load_config
 from semdrought.service.cli import main as cli_main
 from semdrought.service.pipeline import (
     FACTS_FILE,
+    FIRING_LOG_FILE,
+    IK_LOG_FILE,
     OBSERVATION_LOG_FILE,
     _logged_observation,
     _observation_row,
@@ -157,12 +159,25 @@ observations = st.builds(
 )
 
 
+ENCODE_RECORD = json.JSONEncoder(sort_keys=True).encode   # how persist wrote each record before
+
+
 class TestObservationRows:
     @settings(max_examples=200)
     @given(observations)
     def test_logged_row_round_trips_every_field(self, obs):
-        row = json.loads(json.dumps(_observation_row(obs)))
-        assert _logged_observation(row, {}) == obs
+        row = _observation_row(obs)
+        assert row == ENCODE_RECORD([obs.id.value, obs.sensor_id.value, obs.property.value,
+                                     obs.value, obs.unit.value, obs.timestamp, obs.lat, obs.lon])
+        assert _logged_observation(json.loads(row), {}) == obs
+
+    def test_every_log_row_is_what_the_json_encoder_writes(self, persisted):
+        """Rows are formatted directly; each equals JSONEncoder(sort_keys=True)'s
+        encoding of what it reads back as."""
+        state = load_config(scenario.config_path(persisted[0])).persistence_dir
+        for name in (OBSERVATION_LOG_FILE, IK_LOG_FILE, FIRING_LOG_FILE):
+            rows = (state / name).read_text(encoding="utf-8").splitlines()
+            assert rows and rows == [ENCODE_RECORD(json.loads(row)) for row in rows], name
 
 
 # --- derived view against the seed-way store -------------------------------------

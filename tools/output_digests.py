@@ -6,12 +6,23 @@ Replays the test scenario and both benchmark worlds (seed 7) through
 ``Pipeline``. Prints one line per output: each of the four persisted files,
 the ``export`` text, and the JSON of every bulletin of the restored state
 (every region and every month with a reading, and each region's latest),
-or the error it raises. A last line digests all the others. Run it on two
-checkouts and compare:
+or the error it raises. A line ``all`` digests those lines.
 
-    python3 tools/output_digests.py
+Then come the live lines: every bulletin of the replayed ``Pipeline``, and,
+for each benchmark world, every bulletin after the world's tail readings
+have gone through ``ingest_payload`` of the replayed pipeline (``tail``)
+and of the restored one (``restored+tail``), as ``serve`` takes them. Each
+of these three states also digests its committed firings with their
+evidence events. A last line ``all-live`` digests the live lines. Run it on
+two checkouts and compare, or check it against a file of its output:
+
+    python3 tools/output_digests.py [--check tools/output_digests.txt]
+
+With ``--check``, it exits 1 and prints each line that differs.
 """
 
+import argparse
+import difflib
 import hashlib
 import json
 import sys
@@ -50,10 +61,31 @@ def bulletin_text(pipeline: Pipeline, region: str, period: str | None) -> str:
         return f"{exc.code}: {exc}"
 
 
-def digests(name: str, config_path: Path, dataset: Path) -> list[str]:
-    """``name item digest`` lines of one replayed and restored world."""
+def firings_text(pipeline: Pipeline) -> str:
+    """The committed firings, in order, with their evidence events."""
+    return "".join(f"{region} {f.rule} {f.window_end} {f.kind} "
+                   f"{[(e.kind, e.timestamp, e.value, e.attributes) for e in f.evidence]}\n"
+                   for region, f in pipeline.firings)
+
+
+def bulletin_lines(name: str, pipeline: Pipeline, months: list[str]) -> list[str]:
+    return [f"{name} bulletin {region} {period or 'latest'} "
+            f"{sha256(bulletin_text(pipeline, region, period))}"
+            for region in sorted(pipeline.config.regions) for period in months + [None]]
+
+
+def state_lines(label: str, pipeline: Pipeline, months: list[str]) -> list[str]:
+    return ([f"{label} firings {sha256(firings_text(pipeline))}"]
+            + bulletin_lines(label, pipeline, months))
+
+
+def digests(name: str, config_path: Path, dataset: Path,
+            tail: list[str]) -> tuple[list[str], list[str]]:
+    """``name item digest`` lines of one replayed and restored world, and
+    the live lines: the replayed state, then both states after ``tail``."""
     config = load_config(config_path)
-    Pipeline(config).replay(dataset)
+    live = Pipeline(config)
+    live.replay(dataset)
     state = config.persistence_dir
     lines = [f"{name} {file} {sha256((state / file).read_bytes())}"
              for file in (OBSERVATION_LOG_FILE, FACTS_FILE, IK_LOG_FILE, FIRING_LOG_FILE)]
@@ -62,28 +94,47 @@ def digests(name: str, config_path: Path, dataset: Path) -> list[str]:
     lines.append(f"{name} export {sha256(restored.serialize())}")
     months = sorted({format_utc_instant(json.loads(row)[5])[:7]
                      for row in (state / OBSERVATION_LOG_FILE).read_text("utf-8").splitlines()})
-    for region in sorted(config.regions):
-        for period in months + [None]:
-            text = bulletin_text(restored, region, period)
-            lines.append(f"{name} bulletin {region} {period or 'latest'} {sha256(text)}")
-    return lines
+    lines += bulletin_lines(name, restored, months)
+    live_lines = state_lines(f"{name} live", live, months)
+    if tail:
+        for label, pipeline in ((f"{name} tail", live), (f"{name} restored+tail", restored)):
+            for document in tail:
+                try:
+                    pipeline.ingest_payload("json", document)
+                except SemDroughtError:
+                    pass
+            live_lines += state_lines(label, pipeline, months)
+    return lines, live_lines
 
 
 def main() -> int:
-    lines = []
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", type=Path, help="a file of this tool's output to compare with")
+    args = parser.parse_args()
+    lines, live_lines = [], []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         scenario.generate_scenario(work / "scenario")
-        lines += digests("scenario", scenario.config_path(work / "scenario"),
-                         scenario.dataset_path(work / "scenario"))
+        worlds = [("scenario", scenario.config_path(work / "scenario"),
+                   scenario.dataset_path(work / "scenario"), [])]
         for name, spec in sorted(perfbench_run.workloads().items()):
             generated = perfbench_world.generate(work / name, SEED, spec.shape,
                                                  cache_dir=work / "cache")
-            lines += digests(name, generated.config, generated.history)
-    for line in lines:
-        print(line)
-    print(f"all {sha256(''.join(line + chr(10) for line in lines))}")
-    return 0
+            worlds.append((name, generated.config, generated.history, generated.tail))
+        for world in worlds:
+            stored, live = digests(*world)
+            lines += stored
+            live_lines += live
+    output = lines + [f"all {sha256(''.join(line + chr(10) for line in lines))}"]
+    output += live_lines + [f"all-live {sha256(''.join(line + chr(10) for line in live_lines))}"]
+    if args.check is None:
+        print("\n".join(output))
+        return 0
+    expected = args.check.read_text(encoding="utf-8").splitlines()
+    differing = [line for line in difflib.unified_diff(expected, output, str(args.check),
+                                                       "this checkout", lineterm="")]
+    print("\n".join(differing) if differing else f"{len(output)} lines match {args.check}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
