@@ -35,8 +35,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
-from operator import lt, sub
+from itertools import repeat
+from operator import sub
 
 from ..errors import SemDroughtError
 from .rules import COMPARATORS, Absent, And, CepRule, Not, Or, Seq
@@ -174,16 +174,15 @@ def _compile(node, held: dict, valueless: set[str], decisive: bool = True):
             return lo < len(first) and hi > 0 and first[lo] < second[hi - 1]
 
         def seq_evidence(start, end):
-            # earliest-first, non-overlapping pairs, each second strictly later than
-            # its first; a run of firsts each paired with the next second goes whole
+            # earliest-first, non-overlapping pairs, each second strictly later than its first
             found = []
-            i, i_stop = bisect_right(first, start), bisect_right(first, end)
-            j, j_stop = bisect_right(second, start), bisect_right(second, end)
-            while i < i_stop and (j := bisect_right(second, first[i], j, j_stop)) < j_stop:
-                later = list(map(lt, first[i:i_stop], second[j:j_stop])) + [False]
-                run = later.index(False)
-                found += chain.from_iterable(zip(first_events[i:i + run], second_events[j:j + run]))
-                i, j = i + run, j + run
+            at, stop = bisect_right(second, start), bisect_right(second, end)
+            for i in range(bisect_right(first, start), bisect_right(first, end)):
+                at = bisect_right(second, first[i], at, stop)
+                if at == stop:
+                    break
+                found += first_events[i], second_events[at]
+                at += 1
             return found
         return seq_truth, seq_evidence
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 
-from .cep.engine import Firing
+from .cep.engine import Firing, window_aggregate
 from .errors import SemDroughtError
 from .ik import IkSignal
 from .model import CanonicalObservation, Iri, Namespaces, format_utc_instant, month_of
@@ -81,25 +81,29 @@ def build_climatology(
     min_count: int = MIN_BASELINE_COUNT,
 ) -> dict[tuple[str, int], ClimatologyEntry]:
     """Entries keyed by (property IRI text, calendar month): sample mean and
-    n-1 standard deviation; short or flat entries are marked unusable."""
+    n-1 standard deviation; short, flat or overflowing entries are unusable."""
     groups: dict[tuple[str, int], list[float]] = {}
     for obs in history:
         groups.setdefault((obs.property.value, month_of(obs.timestamp)), []).append(obs.value)
     entries = {}
     for key, samples in groups.items():
         samples.sort()
-        std = statistics.stdev(samples) if len(samples) >= 2 else 0.0
+        try:
+            std = statistics.stdev(samples) if len(samples) >= 2 else 0.0
+        except OverflowError:   # a deviation past the float range
+            std = math.inf
         entries[key] = ClimatologyEntry(
-            mean=statistics.fmean(samples), std=std, samples=samples,
-            usable=len(samples) >= min_count and std > 0.0,
+            mean=window_aggregate(samples, "AVG"), std=std, samples=samples,
+            usable=len(samples) >= min_count and 0.0 < std < math.inf,
         )
     return entries
 
 
 def standardized_anomaly(x: float, mean: float, std: float) -> float:
-    if std <= 0:
-        raise InsufficientBaselineError("standard deviation must be positive")
-    return (x - mean) / std
+    z = (x - mean) / std if std > 0 else math.nan
+    if not math.isfinite(z):    # std not positive, or too small for x - mean
+        raise InsufficientBaselineError(f"no finite anomaly of {x!r} with deviation {std!r}")
+    return z
 
 
 def empirical_percentile(x: float, sorted_samples: list[float]) -> float:
@@ -241,9 +245,9 @@ def make_bulletin(
     month = month_of(start)
 
     precip, soil, temp = (ns.iri(name) for name in DVI_PROPERTIES)
-    precip_total = sum(values[precip.value])
-    soil_mean = statistics.fmean(values[soil.value])
-    temp_mean = statistics.fmean(values[temp.value])
+    precip_total = window_aggregate(values[precip.value], "SUM")
+    soil_mean = window_aggregate(values[soil.value], "AVG")
+    temp_mean = window_aggregate(values[temp.value], "AVG")
 
     def usable_entry(prop: Iri):
         entry = climatology.get((prop.value, month))

@@ -101,8 +101,9 @@ class Pipeline:
         }
         self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
-        # region -> (baseline window, its climatology), built by the first read
-        self._climatologies: dict[str, tuple[tuple[int, int], dict]] = {}
+        # region -> ((baseline window, count of its readings in it), their climatology);
+        # a log grows only at its end, in time order, so the two identify the readings
+        self._climatologies: dict[str, tuple[tuple[tuple[int, int], int], dict]] = {}
         self.lock = threading.RLock()
 
     # -- ingestion ------------------------------------------------------------
@@ -144,9 +145,6 @@ class Pipeline:
             firings = self._engines[region].push_event(event)  # may reject; state untouched
             self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
-            kept = self._climatologies.get(region)
-            if kept is not None and kept[0][0] <= obs.timestamp < kept[0][1]:
-                del self._climatologies[region]
             self._view = None
             self._log_firings(region, firings)
         return obs, firings
@@ -224,17 +222,15 @@ class Pipeline:
     def _climatology(self, region: str,
                      period_start: int) -> dict[tuple[str, int], ClimatologyEntry]:
         """The climatology of the region's readings in the baseline window,
-        kept until a reading inside the window is logged; a climatology is
-        a function of the multiset of those readings alone."""
-        window = self.config.baseline_window
-        if window is None:
-            window = (0, period_start)
-        kept = self._climatologies.get(region)
-        if kept is None or kept[0] != window:
-            history = _logged_between(self._observations[region], *window)
-            kept = self._climatologies[region] = (
-                window, build_climatology(history, self.config.min_baseline_count))
-        return kept[1]
+        kept while the window and the count of readings in it stay the same."""
+        window = self.config.baseline_window or (0, period_start)
+        log = self._observations[region]
+        span = _logged_span(log, *window)
+        key = (window, span.stop - span.start)
+        if self._climatologies.get(region, (None,))[0] != key:
+            self._climatologies[region] = (
+                key, build_climatology(log[span], self.config.min_baseline_count))
+        return self._climatologies[region][1]
 
     def bulletin(self, region: str, period: str | None = None) -> ForecastBulletin:
         """Forecast for a region period, NoData before any work without readings
@@ -244,8 +240,8 @@ class Pipeline:
             if period is None:
                 period = self._latest_period(region)
             start, end = period_bounds(period)
-            values = period_values(
-                region, period, _logged_between(self._observations[region], start, end), self.ns)
+            log = self._observations[region]
+            values = period_values(region, period, log[_logged_span(log, start, end)], self.ns)
             return make_bulletin(
                 region=region,
                 period=period,
@@ -441,10 +437,10 @@ def _logged_observation(row, iris: dict[str, Iri]) -> CanonicalObservation:
                                 float(lat), float(lon))
 
 
-def _logged_between(log: list[CanonicalObservation], start: int, end: int) -> list:
-    """The readings of a region's time-ordered log with ``start <= timestamp < end``."""
+def _logged_span(log: list[CanonicalObservation], start: int, end: int) -> slice:
+    """The slice of a region's time-ordered log with ``start <= timestamp < end``."""
     at = attrgetter("timestamp")
-    return log[bisect_left(log, start, key=at):bisect_left(log, end, key=at)]
+    return slice(bisect_left(log, start, key=at), bisect_left(log, end, key=at))
 
 
 def _logged_firing(payload, regions) -> tuple[str, Firing]:

@@ -363,6 +363,18 @@ class TestSeqAndAbsent:
         assert [(e.kind, e.timestamp) for e in firings[0].evidence] == [
             ("A", 1), ("B", 3), ("A", 2), ("B", 4)]
 
+    def test_a_window_of_single_pair_runs_pairs_as_the_reference(self):
+        """8,000 firsts among seconds twice as dense, each paired with the
+        second just after it: quadratic for a pairing that looks past that
+        second over the rest of the window once per first."""
+        firsts = [ev("A", 4 * k + 1) for k in range(8000)]
+        seconds = [ev("B", 2 * k + 2) for k in range(16000)]
+        stream = sorted(firsts + seconds, key=lambda e: e.timestamp)
+        firings = Engine([rule("RULE r WHEN SEQ(A -> B) WITHIN 1d EMIT E")]).run(stream)
+        pairs = _sequence_pairs(firsts, seconds)
+        assert len(pairs) == 8000
+        assert [f.evidence for f in firings] == [tuple(e for pair in pairs for e in pair)]
+
     def test_absent_equals_count_zero(self):
         absent = Engine([rule("RULE r WHEN ABSENT(A) WITHIN 1d EMIT E")])
         count = Engine([rule("RULE r WHEN COUNT(A) == 0 WITHIN 1d EMIT E")])

@@ -12,17 +12,21 @@ import json
 import re
 import shutil
 import socket
+from pathlib import Path
 
 import pytest
 
 import scenario
+from semdrought.errors import SemDroughtError
 from semdrought.service import Pipeline, cli, load_config
 from semdrought.service.cli import main as cli_main
-from semdrought.service.httpd import MAX_BODY_BYTES
+from semdrought.service.httpd import GET_STATUSES, MAX_BODY_BYTES
 
 from live_server import running_server
+from test_service import feed
 
 INDICATOR = scenario.INDICATORS[0]
+README = Path(__file__).resolve().parent.parent / "README.md"
 PRE_EPOCH_IK = {"indicator_id": "ants_nest_high", "timestamp": "1969-12-01T00:00:00Z",
                 "region": "r1", "confidence": 1.0}
 
@@ -46,7 +50,7 @@ def raw_request(port: int, method: str, path: str, body: bytes | None = None,
                 length: bytes | None = None):
     """(status, JSON reply) of a request sent over a raw socket; a request
     with a body gets ``length`` as its Content-Length (the body's own length
-    by default)."""
+    by default). A reply holding NaN or Infinity, which are not JSON, raises."""
     request = b"%s %s HTTP/1.1\r\nHost: localhost\r\n" % (method.encode(), path.encode())
     if body is not None:
         request += b"Content-Length: %s\r\n" % (length or str(len(body)).encode())
@@ -54,7 +58,11 @@ def raw_request(port: int, method: str, path: str, body: bytes | None = None,
         sock.sendall(request + b"\r\n" + (body or b""))
         response = http.client.HTTPResponse(sock)
         response.begin()
-        return response.status, json.loads(response.read())
+        return response.status, json.loads(response.read(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 BAD_BODIES = {          # case -> (Content-Length, body)
@@ -551,6 +559,57 @@ class TestOverflowingWindow:
         data.write_text("".join(line + "\n" for line in OVERFLOWING_RAIN), encoding="ascii")
         summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
         assert (summary.parsed, summary.rejected, summary.firings) == (len(OVERFLOWING_RAIN), {}, 0)
+
+
+def readme_get_errors() -> set[tuple[str, int]]:
+    """(code, status) of each error README's table lists for ``GET``."""
+    rows = re.findall(r"^\| `GET` \| (\d+) \| (.*) \|$", README.read_text(), re.MULTILINE)
+    return {(code, int(status)) for status, cell in rows
+            for code in re.findall(r"`([A-Z]\w+)`", cell)}
+
+
+class TestOverflowingBulletins:
+    """Two accepted readings near the float range in the scenario: every r1
+    bulletin holds only finite numbers, or its read raises a typed error of
+    README's table that is not a 500."""
+
+    PERIODS = [f"{year}-{month:02d}" for year in (2020, 2021, 2022) for month in range(1, 13)]
+    CASES = {   # case -> (the day before the readings, their CSV fields, their values)
+        "rain_in_the_baseline": ("2020-03-03T", "s1,rain,{},mm", ("1e308", "1e308")),
+        "soil_in_the_read_month": ("2022-06-03T", "s2,soil_hum,{},%", ("1e308", "1e308")),
+        "rain_in_the_read_month": ("2022-06-03T", "s1,rain,{},mm", ("1e308", "1e308")),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(CASES))
+    def pipeline(self, request, scenario_dir):
+        day, fields, values = self.CASES[request.param]
+        lines = scenario.dataset_path(scenario_dir).read_text().splitlines()
+        at = max(i for i, line in enumerate(lines) if day in line) + 1
+        pipeline = Pipeline(load_config(scenario.config_path(scenario_dir)))
+        feed(pipeline, lines[:at])
+        for hour, value in zip(("00", "06"), values):
+            pipeline.ingest_payload(
+                "csv", f"{fields.format(value)},{day.replace('03T', '04T')}{hour}:00:00Z,,")
+        feed(pipeline, lines[at:])
+        return pipeline
+
+    def test_bulletin_reads(self, pipeline):
+        for period in self.PERIODS + [None]:
+            try:
+                bulletin = pipeline.bulletin("r1", period).to_json_dict()
+            except SemDroughtError as exc:
+                status = next((s for cls, s in GET_STATUSES if isinstance(exc, cls)), 500)
+                assert status != 500 and (exc.code, status) in readme_get_errors(), period
+            else:
+                json.dumps(bulletin, allow_nan=False)
+
+    def test_forecast_replies(self, pipeline):
+        with running_server(pipeline) as port:
+            for period in self.PERIODS + [None]:
+                status, reply = raw_request(   # whose reply must be JSON
+                    port, "GET", "/forecast?region=r1" + (f"&period={period}" if period else ""))
+                if status != 200:
+                    assert (reply["error"], status) in readme_get_errors(), period
 
 
 @pytest.fixture(scope="module")

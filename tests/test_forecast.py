@@ -2,13 +2,14 @@
 
 import math
 import random
+import statistics
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from semdrought.cep import Firing
+from semdrought.cep import Firing, window_aggregate
 from semdrought.forecast import (
     BadWeightsError,
     DviWeights,
@@ -84,6 +85,20 @@ class TestClimatology:
             assert entry.std == pytest.approx(math.sqrt(var), abs=1e-9)
             assert entry.usable
 
+    def test_a_deviation_past_the_float_range_is_unusable(self):
+        history = [obs(TEMP, v, ts(2020 + y, 3)) for y, v in enumerate((1.7e308, -1.7e308) * 3)]
+        entry = build_climatology(history)[(TEMP.value, 3)]
+        assert (entry.mean, entry.std, entry.usable) == (0.0, math.inf, False)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_the_rules_avg_is_bit_equal_to_fmean_without_overflow(self, values):
+        """Means are the rules' AVG: the bytes ``statistics.fmean`` gave."""
+        try:
+            math.fsum(values)
+        except OverflowError:
+            assume(False)
+        assert window_aggregate(values, "AVG").hex() == statistics.fmean(values).hex()
+
     def test_samples_kept_sorted(self):
         history = [obs(SOIL, v, ts(2020, 7, d)) for d, v in ((1, 9.0), (2, 1.0), (3, 5.0))]
         entry = build_climatology(history)[(SOIL.value, 7)]
@@ -105,6 +120,12 @@ class TestStandardizedAnomaly:
     def test_degenerate_std_rejected(self):
         with pytest.raises(InsufficientBaselineError):
             standardized_anomaly(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("x, mean, std", [(math.inf, 3.0, 2.0), (1.7e308, -1.7e308, 1.0),
+                                              (1e308, 0.0, 1e-10)])
+    def test_an_anomaly_past_the_float_range_is_rejected(self, x, mean, std):
+        with pytest.raises(InsufficientBaselineError):
+            standardized_anomaly(x, mean, std)
 
     @given(
         x=st.floats(-1e3, 1e3), mu=st.floats(-1e3, 1e3),
