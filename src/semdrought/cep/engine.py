@@ -33,6 +33,7 @@ Semantics pinned here:
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
@@ -57,18 +58,17 @@ class DegenerateSlopeError(SemDroughtError):
     code = "Degenerate"
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str
-    timestamp: int
-    value: float | None = None
-    attributes: tuple[tuple[str, str], ...] = ()
+class Event(namedtuple("Event", "kind timestamp value attributes")):
+    """One stream event; the constructor checks it, ``_make`` takes values already checked."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.timestamp < 0:
+    def __new__(cls, kind: str, timestamp: int, value: float | None = None,
+                attributes: tuple[tuple[str, str], ...] = ()):
+        if timestamp < 0:
             raise ValueError("event timestamp must be non-negative")
-        if self.value is not None and not math.isfinite(self.value):
+        if value is not None and not math.isfinite(value):
             raise ValueError("event value must be finite")
+        return tuple.__new__(cls, (kind, timestamp, value, attributes))
 
 
 @dataclass(frozen=True)

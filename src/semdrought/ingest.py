@@ -11,6 +11,7 @@ import math
 import re
 import urllib.parse
 import xml.etree.ElementTree as ET
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import SemDroughtError
@@ -24,7 +25,6 @@ from .model import (
     parse_utc_instant,
 )
 
-# in the order of RawObservation's fields
 CSV_COLUMNS = ("sensor_id", "property", "value", "unit", "timestamp", "lat", "lon")
 
 
@@ -95,24 +95,20 @@ class NonFiniteError(IngestError):
 _SURROGATE = re.compile("[\ud800-\udfff]")    # the code points UTF-8 cannot encode
 
 
-@dataclass(frozen=True)
-class RawObservation:
-    sensor_id_raw: str
-    property_raw: str
-    value_raw: str
-    unit_raw: str
-    timestamp_raw: str
-    lat_raw: str = ""         # lat/lon may be blank; station metadata fills them
-    lon_raw: str = ""
+class RawObservation(namedtuple("RawObservation", [c + "_raw" for c in CSV_COLUMNS])):
+    """One reading's fields as its payload spells them; blank lat/lon come from the station."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields = vars(self)
-        for name in ("sensor_id_raw", "property_raw", "value_raw", "unit_raw", "timestamp_raw"):
-            if not fields[name]:
-                raise EmptyFieldError(f"{name} is blank")
-        text = "".join(fields.values())
+    def __new__(cls, sensor_id_raw: str, property_raw: str, value_raw: str, unit_raw: str,
+                timestamp_raw: str, lat_raw: str = "", lon_raw: str = ""):
+        self = tuple.__new__(cls, (sensor_id_raw, property_raw, value_raw, unit_raw,
+                                   timestamp_raw, lat_raw, lon_raw))
+        if not all(self[:5]):
+            raise EmptyFieldError(f"{self._fields[[*map(bool, self)].index(False)]} is blank")
+        text = "".join(self)
         if not text.isascii() and _SURROGATE.search(text):    # such as a JSON "\ud800"
             raise MalformedError("a field holds a lone surrogate, which UTF-8 cannot encode")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +125,17 @@ def parse_csv_line(line: str) -> RawObservation:
 
 
 def _json_scalar(value, key: str, allow_number: bool) -> str:
-    if isinstance(value, str):
+    kind = type(value)      # exact types: a boolean is not a number here
+    if kind is str:
         return value
-    if allow_number and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if isinstance(value, int):
-            return str(value)
-        if not math.isfinite(value):
+    if allow_number and kind is float:
+        try:
+            return canonical_double(value)
+        except ValueError:      # its check for a value that is not finite
             raise WrongTypeError(f"key {key} is not finite")
-        return canonical_double(value)
-    raise WrongTypeError(f"key {key} has type {type(value).__name__}")
+    if allow_number and kind is int:
+        return str(value)
+    raise WrongTypeError(f"key {key} has type {kind.__name__}")
 
 
 def parse_json_observation(document: str) -> RawObservation:
@@ -347,6 +345,7 @@ def _parse_number(text: str, what: str) -> float:
     return value
 
 
+@functools.lru_cache(MEMO_LIMIT)     # by spelling, which readings of one instant share
 def parse_timestamp(text: str) -> int:
     """Epoch seconds of an ISO-8601 UTC instant no earlier than the epoch."""
     try:
@@ -368,6 +367,8 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
     if raw.lat_raw and raw.lon_raw:
         lat = _parse_number(raw.lat_raw, "lat")
         lon = _parse_number(raw.lon_raw, "lon")
+    elif raw.lat_raw or raw.lon_raw:
+        raise MissingLocationError(f"payload gives one of lat and lon for {raw.sensor_id_raw!r}")
     elif sensor.lat is not None and sensor.lon is not None:
         lat, lon = sensor.lat, sensor.lon
     else:
@@ -379,16 +380,9 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
     if not -180.0 <= lon <= 180.0:
         raise OutOfRangeError(f"longitude out of range: {lon}")
 
-    return CanonicalObservation(
-        id=Iri(id_prefix + str(timestamp)),
-        sensor_id=sensor.iri,
-        property=prop,
-        value=value,
-        unit=canonical_unit,
-        timestamp=timestamp,
-        lat=lat,
-        lon=lon,
-    )
+    # every field is checked above, so the record's own checks are skipped
+    return CanonicalObservation._make((Iri(id_prefix + str(timestamp)), sensor.iri, prop, value,
+                                       canonical_unit, timestamp, lat, lon))
 
 
 _FORMAT_PARSERS = {

@@ -7,6 +7,7 @@ canonical observations and their 8-triple representation.
 """
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -276,27 +277,23 @@ class Vocabulary:
 # Canonical observation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalObservation:
-    id: Iri
-    sensor_id: Iri
-    property: Iri
-    value: float
-    unit: Iri
-    timestamp: int       # UTC seconds since epoch
-    lat: float
-    lon: float
+class CanonicalObservation(namedtuple(
+        "CanonicalObservation", "id sensor_id property value unit timestamp lat lon")):
+    """One aligned reading; ``timestamp`` is UTC seconds since the epoch. The
+    constructor checks every field; ``_make`` takes values already checked."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value != self.value or self.value in (float("inf"), float("-inf")):
+    def __new__(cls, id: Iri, sensor_id: Iri, property: Iri, value: float, unit: Iri,
+                timestamp: int, lat: float, lon: float):
+        if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("observation value must be finite")
-        if self.timestamp < 0 or self.timestamp != int(self.timestamp):
+        if timestamp < 0 or timestamp != int(timestamp):
             raise ValueError("timestamp must be non-negative integer seconds")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
-        object.__setattr__(self, "timestamp", int(self.timestamp))
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"latitude out of range: {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"longitude out of range: {lon}")
+        return tuple.__new__(cls, (id, sensor_id, property, value, unit, int(timestamp), lat, lon))
 
 
 def observation_iri_prefix(ns: Namespaces, sensor_id: Iri) -> str:

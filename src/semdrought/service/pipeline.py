@@ -10,6 +10,8 @@ the built-in rules derive from them and the saturated facts, are rendered
 from the log on every read: for ``export`` and for the ``store`` view.
 """
 
+import functools
+import itertools
 import json
 import os
 import threading
@@ -136,12 +138,8 @@ class Pipeline:
         obs = canonicalize(parse_payload(source_format, payload), self.table)
         with self.lock:
             region = self._region_of_new(obs, self._observation_ids)
-            event = Event(
-                kind=obs.property.value,
-                timestamp=obs.timestamp,
-                value=obs.value,
-                attributes=(("region", region), ("sensor", obs.sensor_id.value)),
-            )
+            event = Event._make((obs.property.value, obs.timestamp, obs.value,  # checked above
+                                 (("region", region), ("sensor", obs.sensor_id.value))))
             firings = self._engines[region].push_event(event)  # may reject; state untouched
             self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
@@ -313,8 +311,10 @@ class Pipeline:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self.lock:
+            quote_iri = functools.lru_cache(None)(_quote)   # interned IRIs repeat row to row
             _atomic_write(directory / OBSERVATION_LOG_FILE, "".join(
-                _observation_row(obs) + "\n" for log in self._observations.values() for obs in log))
+                _observation_row(obs, quote_iri) + "\n"
+                for log in self._observations.values() for obs in log))
             facts = self._facts
             _atomic_write(directory / FACTS_FILE, TripleStore().serialize(
                 triple_text(t) for t in facts if not facts.is_inferred(t)))
@@ -344,7 +344,7 @@ class Pipeline:
                     f"no {name} in {directory}; re-run replay to persist the state")
         logs: dict[str, list[CanonicalObservation]] = {region: [] for region in self._observations}
         ids: set[str] = set()
-        iris: dict[str, Iri] = {}
+        iris: dict[tuple, tuple] = {}
 
         def log_observation(row) -> None:
             obs = _logged_observation(row, iris)
@@ -405,7 +405,10 @@ def _ik_observation(payload, regions) -> IkObservation:
 # an observation as ``persist`` logs it, one JSON array per observation: its id,
 # then the fields of OBSERVATION_SHAPE in table order, IRIs as their strings
 _ROW_FIELDS = (("id", None),) + tuple((f, d) for _, f, d in OBSERVATION_SHAPE)
-_ROW_TYPES = {None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, float)}
+# the types each column may hold, in _ROW_FIELDS order, and every row's types they allow
+_ROW_TYPES = tuple({None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, float)}[d]
+                   for _, d in _ROW_FIELDS)
+_ROW_SIGNATURES = frozenset(itertools.product(*_ROW_TYPES))
 
 
 # log rows are written as json.JSONEncoder(sort_keys=True) writes them: strings
@@ -413,26 +416,27 @@ _ROW_TYPES = {None: (str,), Datatype.DATETIME: (int,), Datatype.DOUBLE: (int, fl
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _observation_row(obs: CanonicalObservation) -> str:
-    return (f"[{_quote(obs.id.value)}, {_quote(obs.sensor_id.value)}, "
-            f"{_quote(obs.property.value)}, {obs.value!r}, {_quote(obs.unit.value)}, "
+def _observation_row(obs: CanonicalObservation, quote_iri=_quote) -> str:
+    return (f"[{_quote(obs.id.value)}, {quote_iri(obs.sensor_id.value)}, "
+            f"{quote_iri(obs.property.value)}, {obs.value!r}, {quote_iri(obs.unit.value)}, "
             f"{obs.timestamp!r}, {obs.lat!r}, {obs.lon!r}]")     # in _ROW_FIELDS order
 
 
-def _logged_observation(row, iris: dict[str, Iri]) -> CanonicalObservation:
+def _logged_observation(row, iris: dict[tuple, tuple]) -> CanonicalObservation:
     """The observation of one ``persist`` log row; a row of the wrong shape,
     a value of the wrong type or out of range raises ValueError. ``iris``
-    interns the sensor, property and unit IRIs across the rows of one restore."""
+    keeps the IRIs of each (sensor, property, unit) across the rows of one restore."""
     if not isinstance(row, list) or len(row) != len(_ROW_FIELDS):
         raise ValueError(f"expected an array of {len(_ROW_FIELDS)} values")
-    for (field, datatype), value in zip(_ROW_FIELDS, row):
-        if type(value) not in _ROW_TYPES[datatype]:     # also rejects booleans
-            raise ValueError(f"{field} must be of type "
-                             f"{' or '.join(t.__name__ for t in _ROW_TYPES[datatype])}")
+    if tuple(map(type, row)) not in _ROW_SIGNATURES:     # also rejects booleans
+        field, types = next((f, t) for (f, _), t, v in zip(_ROW_FIELDS, _ROW_TYPES, row)
+                            if type(v) not in t)
+        raise ValueError(f"{field} must be of type {' or '.join(t.__name__ for t in types)}")
     obs_id, sensor, prop, value, unit, timestamp, lat, lon = row
     if timestamp > MAX_UTC_INSTANT:
         format_utc_instant(timestamp)     # raises past the year 9999, as datetime does
-    sensor, prop, unit = (iris.get(v) or iris.setdefault(v, Iri(v)) for v in (sensor, prop, unit))
+    key = (sensor, prop, unit)
+    sensor, prop, unit = iris.get(key) or iris.setdefault(key, tuple(map(Iri, key)))
     return CanonicalObservation(Iri(obs_id), sensor, prop, float(value), unit, timestamp,
                                 float(lat), float(lon))
 
@@ -457,8 +461,13 @@ def _read_jsonl(path: Path, build) -> list:
     a bad line raises ParseError naming the file and the line."""
     if not path.is_file():
         return []
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8-sig", "surrogatepass").split("\n")    # as json.loads does
+    except UnicodeDecodeError:
+        lines = data.split(b"\n")     # json.loads then names the line that does not decode
     out = []
-    for number, line in enumerate(path.read_bytes().splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 out.append(build(json.loads(line)))

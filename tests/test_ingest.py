@@ -29,9 +29,11 @@ from semdrought.ingest import (
     convert_unit,
     parse_csv_line,
     parse_json_observation,
+    parse_payload,
+    parse_timestamp,
     parse_xml_observation,
 )
-from semdrought.model import Namespaces, Vocabulary, canonical_double
+from semdrought.model import Namespaces, Vocabulary, canonical_double, format_utc_instant
 
 NS = Namespaces()
 VOCAB = Vocabulary(NS)
@@ -271,6 +273,14 @@ class TestAlignmentMemo:
             assert caught.value.term == term
         assert table.resolve.cache_info().currsize == 0
 
+    def test_timestamps_are_memoized_by_spelling_within_the_bound(self):
+        for second in range(MEMO_LIMIT + 10):
+            assert parse_timestamp(format_utc_instant(second)) == second
+        assert parse_timestamp.cache_info().currsize == MEMO_LIMIT
+        for _ in range(2):
+            with pytest.raises(BadTimestampError, match="before epoch"):
+                parse_timestamp("1969-12-31T23:59:59Z")
+
     def test_distinct_sensor_ids_stay_within_the_bound(self):
         table = AlignmentTable.from_json(TABLE_JSON, VOCAB)
         for i in range(10_000):
@@ -334,6 +344,21 @@ class TestCanonicalize:
     def test_missing_location(self):
         with pytest.raises(MissingLocationError):
             canonicalize(raw_csv(sensor_id_raw="s9", lat_raw="", lon_raw=""), TABLE)
+
+    @pytest.mark.parametrize("source_format, payload", [
+        ("csv", "s1,soil_hum,23.5,%,2023-01-01T00:00:00Z,-29.1,"),
+        ("csv", "s1,soil_hum,23.5,%,2023-01-01T00:00:00Z,,26.2"),
+        ("json", '{"sensor_id": "s1", "property": "SM", "value": 23.5, "unit": "pct", '
+                 '"timestamp": "2023-01-01T00:00:00Z", "lat": -29.1}'),
+        ("json", '{"sensor_id": "s1", "property": "SM", "value": 23.5, "unit": "pct", '
+                 '"timestamp": "2023-01-01T00:00:00Z", "lon": 26.2, "lat": ""}'),
+        ("xml", XML_OK.replace("</Observation>", "<lat>-29.1</lat></Observation>")),
+        ("xml", XML_OK.replace("</Observation>", "<lon>26.2</lon><lat> </lat></Observation>")),
+    ])
+    def test_half_a_coordinate_pair_is_missing_location(self, source_format, payload):
+        # s1 has station coordinates, which must not stand in for the other half
+        with pytest.raises(MissingLocationError, match="one of lat and lon"):
+            canonicalize(parse_payload(source_format, payload), TABLE)
 
     def test_fahrenheit_conversion_applied(self):
         obs = canonicalize(

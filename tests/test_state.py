@@ -42,8 +42,9 @@ from semdrought.service.pipeline import (
     OBSERVATION_LOG_FILE,
     _logged_observation,
     _observation_row,
+    _read_jsonl,
 )
-from semdrought.store import TripleStore, triple_text
+from semdrought.store import ParseError, TripleStore, triple_text
 
 from live_server import running_server
 from test_service import http_post
@@ -178,6 +179,18 @@ class TestObservationRows:
         for name in (OBSERVATION_LOG_FILE, IK_LOG_FILE, FIRING_LOG_FILE):
             rows = (state / name).read_text(encoding="utf-8").splitlines()
             assert rows and rows == [ENCODE_RECORD(json.loads(row)) for row in rows], name
+
+    def test_a_log_reads_as_json_loads_reads_its_lines(self, tmp_path):
+        """The file is decoded once, as ``json.loads`` decodes each line's bytes:
+        a leading BOM, CRLF line ends and an encoded lone surrogate are read,
+        and a byte that is not UTF-8 names its line with the codec's message."""
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf["a"]\r\n\r\n["\xed\xa0\x80", 1]\n')
+        assert _read_jsonl(path, list) == [["a"], ["\ud800", 1]]
+        path.write_bytes(b'["a"]\n\xff\n["b"]\n')
+        with pytest.raises(ParseError, match="^line 2: .*'utf-8' codec can't decode byte 0xff "
+                                             "in position 0: invalid start byte$"):
+            _read_jsonl(path, list)
 
 
 # --- derived view against the seed-way store -------------------------------------
