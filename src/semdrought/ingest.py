@@ -3,6 +3,13 @@
 Parses CSV, JSON and a minimal XML observation subset into a raw record,
 then aligns divergent property names, units and sensor ids to the
 canonical vocabulary through a lookup table with affine unit conversion.
+
+The XML subset: an <Observation> root whose procedure, observedProperty,
+result (with a uom attribute) and time children, and optional lat and lon,
+give the fields; other children are ignored. The plain spelling (those
+elements in that order, unattributed root, nothing between them, text that
+XML neither escapes nor normalizes) is read by one compiled pattern. Any
+other well-formed spelling is read by ElementTree, to the same record.
 """
 
 import functools
@@ -160,38 +167,46 @@ def parse_json_observation(document: str) -> RawObservation:
     )
 
 
-def parse_xml_observation(document: str) -> RawObservation:
-    """Minimal <Observation> element set; unknown child elements are ignored."""
+# The plain spelling: element text of printable ASCII or tab without &, < or ],
+# and a uom of printable ASCII without tab, ", & or <, which XML reads as spelled.
+# Groups: procedure, observedProperty, uom, result, time, lat, lon.
+_TEXT = r"([\t -%'-;=-\\^-~]*)"
+_PLAIN_XML = re.compile(
+    f"<Observation><procedure>{_TEXT}</procedure>"
+    f"<observedProperty>{_TEXT}</observedProperty>"
+    f'<result uom="([ !#-%\'-;=-~]*)">{_TEXT}</result><time>{_TEXT}</time>'
+    f"(?:<lat>{_TEXT}</lat>)?(?:<lon>{_TEXT}</lon>)?</Observation>"
+)
+
+
+def _tree_fields(document: str) -> tuple[str, ...]:
+    """What ElementTree reads of the elements, in ``_PLAIN_XML``'s group order."""
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         raise MalformedError(f"bad XML: {exc}")
     if root.tag != "Observation":
         raise MalformedError(f"root element must be Observation, got {root.tag}")
-
-    def text_of(tag: str, required: bool) -> str:
-        node = root.find(tag)
-        text = "" if node is None else (node.text or "").strip()
-        if required and not text:
-            raise MissingElementError(f"missing element {tag}")
-        return text
-
     result = root.find("result")
-    if result is None or not (result.text or "").strip():
+    return (root.findtext("procedure", ""), root.findtext("observedProperty", ""),
+            "" if result is None else result.get("uom", ""), root.findtext("result", ""),
+            root.findtext("time", ""), root.findtext("lat", ""), root.findtext("lon", ""))
+
+
+def parse_xml_observation(document: str) -> RawObservation:
+    """Minimal <Observation> element set; unknown child elements are ignored.
+    The plain spelling is read by one pattern, any other by ElementTree."""
+    match = _PLAIN_XML.fullmatch(document)
+    fields = match.groups("") if match else _tree_fields(document)
+    procedure, prop, unit, value, time, lat, lon = map(str.strip, fields)
+    if not value:
         raise MissingElementError("missing element result")
-    unit = result.get("uom", "").strip()
     if not unit:
         raise MissingElementError("result element lacks a uom attribute")
-
-    return RawObservation(
-        sensor_id_raw=text_of("procedure", required=True),
-        property_raw=text_of("observedProperty", required=True),
-        value_raw=(result.text or "").strip(),
-        unit_raw=unit,
-        timestamp_raw=text_of("time", required=True),
-        lat_raw=text_of("lat", required=False),
-        lon_raw=text_of("lon", required=False),
-    )
+    for tag, text in (("procedure", procedure), ("observedProperty", prop), ("time", time)):
+        if not text:
+            raise MissingElementError(f"missing element {tag}")
+    return RawObservation(procedure, prop, value, unit, time, lat, lon)
 
 
 # ---------------------------------------------------------------------------

@@ -66,3 +66,41 @@ def test_each_workloads_first_side_alternates_from_seed_to_seed():
 
 def test_a_single_run_is_its_own_median_and_quartiles():
     assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "n": 1}
+
+
+def pairs(parent_rates, change_rates):
+    """One pair per seed, with these replay rates and equal set-up times."""
+    return [run(side, seed, rate, 0.3) for seed, rates in enumerate(zip(parent_rates, change_rates))
+            for side, rate in zip(("parent", "change"), rates)]
+
+
+PARENT = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
+
+
+def test_a_gain_is_claimed_on_nine_of_ten_wins_beyond_the_parents_quartiles():
+    summary = bench_pairs.summarize(pairs(PARENT, [120.0] * 9 + [90.0]), METRICS)
+    rate = summary["w1"]["replay_lines_per_s"]
+    assert rate["parent_quartile_distance"] == pytest.approx(4.5)    # 102.25 - 97.75
+    assert rate["pairs"] == {"change_wins": 9, "parent_wins": 1, "ties": 0}
+    assert rate["claim_holds"] is True
+
+
+@pytest.mark.parametrize("change,why", [
+    ([120.0] * 8 + [90.0, 90.0], "eight wins of ten"),
+    ([120.0] * 8 + [90.0, 97.0], "a tie counts for neither side"),
+    ([p + 3.0 for p in PARENT], "ten wins, but a gain within the parent's quartiles"),
+    ([120.0] * 9, "nine wins of nine, under ten pairs"),
+])
+def test_no_gain_is_claimed(change, why):
+    rate = bench_pairs.summarize(pairs(PARENT[:len(change)], change), METRICS)["w1"]
+    assert rate["replay_lines_per_s"]["claim_holds"] is False, why
+
+
+def test_the_claim_follows_a_lower_is_better_metric():
+    runs = [run(side, seed, 100.0, setup) for seed in range(10)
+            for side, setup in (("parent", 0.30 + seed / 1000), ("change", 0.20))]
+    summary = bench_pairs.summarize(runs, METRICS)["w1"]
+    setup, rate = summary["setup_s"], summary["replay_lines_per_s"]
+    assert setup["parent_quartile_distance"] == pytest.approx(0.0055)
+    assert setup["claim_holds"] is True
+    assert rate["pairs"]["ties"] == 10 and rate["claim_holds"] is False

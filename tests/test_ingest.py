@@ -1,9 +1,11 @@
 """Parser, alignment and canonicalization tests."""
 
 import json
+import re
+import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semdrought.ingest import (
@@ -13,6 +15,7 @@ from semdrought.ingest import (
     BadTimestampError,
     ColumnCountError,
     EmptyFieldError,
+    IngestError,
     MalformedError,
     MissingElementError,
     MissingKeyError,
@@ -153,38 +156,189 @@ XML_OK = (
     '<result uom="%">23.5</result>'
     "<time>2023-01-01T00:00:00Z</time></Observation>"
 )
+# XML_OK, then the same document in a spelling the plain pattern refuses, which
+# ElementTree reads: each TestXmlParser case runs on both
+XML_SPELLINGS = (XML_OK, '<?xml version="1.0"?>' + XML_OK)
 
 
 class TestXmlParser:
     def test_element_extraction(self):
-        raw = parse_xml_observation(XML_OK)
-        assert raw.sensor_id_raw == "s1"
-        assert raw.unit_raw == "%"
-        assert raw.value_raw == "23.5"
+        for xml_ok in XML_SPELLINGS:
+            raw = parse_xml_observation(xml_ok)
+            assert raw.sensor_id_raw == "s1"
+            assert raw.unit_raw == "%"
+            assert raw.value_raw == "23.5"
+
+    @staticmethod
+    def assert_missing(tag: str, text: str) -> None:
+        """Element ``tag``, holding ``text``, deleted, empty or blank, in each spelling."""
+        for xml_ok in XML_SPELLINGS:
+            element = re.search(f"<{tag}[^>]*>{text}</{tag}>", xml_ok).group()
+            for form in ("", element.replace(text, ""), element.replace(text, " \t")):
+                with pytest.raises(MissingElementError, match=f"^missing element {tag}$"):
+                    parse_xml_observation(xml_ok.replace(element, form))
 
     def test_missing_time(self):
-        doc = XML_OK.replace("<time>2023-01-01T00:00:00Z</time>", "")
-        with pytest.raises(MissingElementError):
-            parse_xml_observation(doc)
+        self.assert_missing("time", "2023-01-01T00:00:00Z")
+
+    @pytest.mark.parametrize("tag,text", [
+        ("procedure", "s1"), ("observedProperty", "soilMoisture"), ("result", "23.5")])
+    def test_missing_element_is_named(self, tag, text):
+        self.assert_missing(tag, text)
 
     def test_unknown_elements_ignored(self):
-        doc = XML_OK.replace("</Observation>", "<extra><deep/></extra></Observation>")
-        raw = parse_xml_observation(doc)
-        assert raw.property_raw == "soilMoisture"
+        for xml_ok in XML_SPELLINGS:
+            doc = xml_ok.replace("</Observation>", "<extra><deep/></extra></Observation>")
+            raw = parse_xml_observation(doc)
+            assert raw.property_raw == "soilMoisture"
 
     def test_missing_uom(self):
-        doc = XML_OK.replace(' uom="%"', "")
-        with pytest.raises(MissingElementError):
-            parse_xml_observation(doc)
+        for xml_ok in XML_SPELLINGS:
+            for uom in ("", ' uom=""', ' uom=" "'):
+                with pytest.raises(MissingElementError, match="lacks a uom attribute"):
+                    parse_xml_observation(xml_ok.replace(' uom="%"', uom))
 
     def test_malformed(self):
-        with pytest.raises(MalformedError):
-            parse_xml_observation("<Observation><procedure>s1")
+        for xml_ok in XML_SPELLINGS:
+            with pytest.raises(MalformedError, match="bad XML"):
+                parse_xml_observation(xml_ok.partition("</procedure>")[0])
+            with pytest.raises(MalformedError, match="root element must be Observation"):
+                parse_xml_observation(xml_ok.replace("Observation>", "Obs>"))
 
     def test_optional_coordinates(self):
-        doc = XML_OK.replace("</Observation>", "<lat>-29.1</lat><lon>26.2</lon></Observation>")
-        raw = parse_xml_observation(doc)
-        assert raw.lat_raw == "-29.1"
+        for xml_ok in XML_SPELLINGS:
+            doc = xml_ok.replace("</Observation>", "<lat>-29.1</lat><lon>26.2</lon></Observation>")
+            raw = parse_xml_observation(doc)
+            assert raw.lat_raw == "-29.1"
+
+
+def test_only_a_spelling_the_pattern_refuses_builds_a_tree(monkeypatch):
+    trees, parse = [], ET.fromstring
+
+    def fromstring(document):
+        trees.append(document)
+        return parse(document)
+
+    monkeypatch.setattr(ET, "fromstring", fromstring)
+    assert len({parse_xml_observation(doc) for doc in XML_SPELLINGS}) == 1
+    assert trees == [XML_SPELLINGS[1]]
+
+
+def tree_parse(document: str) -> RawObservation:
+    """The ElementTree reading that every XML document had before the plain
+    pattern: the reference the pattern is checked against."""
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise MalformedError(f"bad XML: {exc}")
+    if root.tag != "Observation":
+        raise MalformedError(f"root element must be Observation, got {root.tag}")
+
+    def text_of(tag: str, required: bool) -> str:
+        node = root.find(tag)
+        text = "" if node is None else (node.text or "").strip()
+        if required and not text:
+            raise MissingElementError(f"missing element {tag}")
+        return text
+
+    result = root.find("result")
+    if result is None or not (result.text or "").strip():
+        raise MissingElementError("missing element result")
+    unit = result.get("uom", "").strip()
+    if not unit:
+        raise MissingElementError("result element lacks a uom attribute")
+    return RawObservation(text_of("procedure", True), text_of("observedProperty", True),
+                          (result.text or "").strip(), unit, text_of("time", True),
+                          text_of("lat", False), text_of("lon", False))
+
+
+# what the plain pattern reads: printable ASCII or tab, without & < ] in element
+# text, and without tab " & < in the uom
+XML_TEXT = "".join(c for c in map(chr, range(0x20, 0x7F)) if c not in "&<]") + "\t"
+XML_UOM = "".join(c for c in XML_TEXT if c not in '\t"')
+# spellings that XML unescapes, normalizes or refuses, in element text and in the uom
+TEXT_SNIPPETS = ("&amp;", "&#65;", "<![CDATA[a]]>", "<!--c-->", "]]>", "]", "&", "<",
+                 "\r", "\r\n", "\n", "\x00", "\x0b", "\x7f", "\u00e9")
+UOM_SNIPPETS = ("\t", '"', "'", "&amp;", "&", "<", "\r", "\n", "\u00e9")
+# (kind, argument) of each mutation of a plain document's spelling
+XML_MUTATIONS = (
+    *[("text", snippet) for snippet in TEXT_SNIPPETS],
+    *[("uom", snippet) for snippet in UOM_SNIPPETS],
+    ("insert", "anywhere"), ("quote", "'"), ("result attribute", ' unit="mm"'),
+    ("root attribute", ' id="1"'), ("root attribute", ' xmlns="urn:x"'), ("root", "Obs"),
+    ("between", " "), ("between", "\r\n"), ("prolog", '<?xml version="1.0"?>'),
+    ("reorder", ""), ("duplicate", ""), ("drop", ""), ("nest", ""),
+)
+
+
+@st.composite
+def xml_mutants(draw, mutation: tuple[str, str]) -> str:
+    """A plain observation document with ``mutation``, and perhaps one more,
+    applied to its spelling."""
+    def insert(into: str, snippet: str) -> str:
+        at = draw(st.integers(0, len(into)))
+        return into[:at] + snippet + into[at:]
+
+    def element(tag: str, text: str) -> str:
+        attributes = f" uom={quote}{uom}{quote}{extra}" if tag == "result" else ""
+        return f"<{tag}{attributes}>{text}</{tag}>"
+
+    tags = ("procedure", "observedProperty", "result", "time", "lat", "lon")
+    children = [[tag, draw(st.text(XML_TEXT, min_size=1, max_size=6))]
+                for tag in tags[:draw(st.integers(4, 6))]]
+    uom = draw(st.text(XML_UOM, max_size=4))
+    quote, extra, root, root_attributes, between, prolog = '"', "", "Observation", "", "", ""
+    inserts = 0
+    for kind, argument in [mutation, *draw(st.lists(st.sampled_from(XML_MUTATIONS), max_size=1))]:
+        pick = draw(st.integers(0, len(children) - 1)) if children else None
+        if kind == "text" and children:
+            children[pick][1] = insert(children[pick][1], argument)
+        elif kind == "uom":
+            uom = insert(uom, argument)
+        elif kind == "insert":
+            inserts += 1
+        elif kind == "quote":
+            quote = argument
+        elif kind == "result attribute":
+            extra = argument
+        elif kind == "root attribute":
+            root_attributes = argument
+        elif kind == "root":
+            root = argument
+        elif kind == "between":
+            between = argument
+        elif kind == "prolog":
+            prolog = argument
+        elif kind == "reorder":
+            children = draw(st.permutations(children))
+        elif kind == "duplicate" and children:
+            children.insert(draw(st.integers(0, len(children))), list(children[pick]))
+        elif kind == "drop" and children:
+            del children[pick]
+        elif kind == "nest" and len(children) > 1:
+            inner = element(*children.pop(pick))
+            host = children[draw(st.integers(0, len(children) - 1))]
+            host[1] = insert(host[1], inner)
+    body = between.join(element(tag, text) for tag, text in children)
+    document = f"{prolog}<{root}{root_attributes}>{between}{body}{between}</{root}>"
+    for _ in range(inserts):
+        document = insert(document, draw(st.sampled_from(TEXT_SNIPPETS + UOM_SNIPPETS)))
+    return document
+
+
+def xml_outcome(parse, document: str):
+    try:
+        return parse(document)
+    except IngestError as exc:
+        return exc.code, str(exc)
+
+
+@pytest.mark.parametrize("mutation", XML_MUTATIONS, ids=repr)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_xml_reads_as_elementtree_reads_it(mutation, data):
+    document = data.draw(xml_mutants(mutation))
+    assert xml_outcome(parse_xml_observation, document) == xml_outcome(tree_parse, document)
 
 
 class TestUnitConversion:

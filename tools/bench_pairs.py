@@ -12,8 +12,9 @@ each workload ``BENCHMARK.json`` names, both sides run
 one after the other, ``S`` being its ``run_seconds``; for each workload, the
 side that runs first alternates from seed to seed. The file holds every run,
 and per workload and end-to-end metric (as ``BENCHMARK.json`` names them)
-each side's median and quartiles and the change's wins, losses and ties over
-the pairs. Run from the repository root:
+each side's median and quartiles, the change's wins, losses and ties over
+the pairs, and whether those allow a gain to be claimed (see ``summarize``).
+Run from the repository root:
 
     python3 tools/bench_pairs.py --parent HEAD~1 --seeds 61 62 63 --out BENCH_x.json \\
         --what "what the change does"
@@ -36,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+CLAIM_PAIRS = 10    # the fewest pairs a claimed gain rests on
 
 
 def run_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -73,8 +75,12 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
     """Per workload and metric (``metrics`` maps a name to "higher" or
-    "lower", the better direction): each side's median and quartiles, and
-    the change's wins, losses and ties over pairs of one seed."""
+    "lower", the better direction): each side's median and quartiles, the
+    change's wins, losses and ties over pairs of one seed, the distance
+    between the parent's quartiles, and whether a gain may be claimed: over
+    at least ``CLAIM_PAIRS`` pairs the change wins nine tenths of them,
+    ties counting for neither side, and its median is better than the
+    parent's by more than that distance."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         of = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["workload"] == workload}
@@ -93,6 +99,12 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
             row["pairs"] = {"change_wins": sum(d > 0 for d in margins),
                             "parent_wins": sum(d < 0 for d in margins),
                             "ties": sum(d == 0 for d in margins)}
+            row["parent_quartile_distance"] = row["parent"]["q3"] - row["parent"]["q1"]
+            row["claim_holds"] = (
+                len(margins) >= CLAIM_PAIRS
+                and 10 * row["pairs"]["change_wins"] >= 9 * len(margins)
+                and sign * (row["change"]["median"] - row["parent"]["median"])
+                > row["parent_quartile_distance"])
     return summary
 
 
