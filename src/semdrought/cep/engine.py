@@ -34,7 +34,7 @@ Semantics pinned here:
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import sub
@@ -58,17 +58,16 @@ class DegenerateSlopeError(SemDroughtError):
     code = "Degenerate"
 
 
-class Event(namedtuple("Event", "kind timestamp value attributes")):
+class Event(namedtuple("Event", "kind timestamp value")):
     """One stream event; the constructor checks it, ``_make`` takes values already checked."""
     __slots__ = ()
 
-    def __new__(cls, kind: str, timestamp: int, value: float | None = None,
-                attributes: tuple[tuple[str, str], ...] = ()):
+    def __new__(cls, kind: str, timestamp: int, value: float | None = None):
         if timestamp < 0:
             raise ValueError("event timestamp must be non-negative")
         if value is not None and not math.isfinite(value):
             raise ValueError("event value must be finite")
-        return tuple.__new__(cls, (kind, timestamp, value, attributes))
+        return tuple.__new__(cls, (kind, timestamp, value))
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class Firing:
     rule: str
     window_end: int
     kind: str
-    evidence: tuple[Event, ...] = field(default=(), compare=False)
+    evidence: tuple[Event, ...] = ()
 
 
 def window_aggregate(values: list[float], fn: str) -> float:
@@ -345,8 +344,7 @@ class Engine:
                 firings.append(firing)
             self._cursors[rule.name] = boundary + rule.window.stride
         for firing in firings:
-            self._hold(Event(kind=firing.kind, timestamp=boundary,
-                             attributes=(("rule", firing.rule),)))
+            self._hold(Event(kind=firing.kind, timestamp=boundary))
         return firings
 
     def _hold(self, event: Event) -> None:

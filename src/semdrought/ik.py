@@ -133,12 +133,7 @@ class IkRegistry:
             )
         kind = (DRIER_EVENT_KIND if indicator.valence is Valence.DRIER
                 else WETTER_EVENT_KIND)
-        return Event(
-            kind=kind,
-            timestamp=obs.timestamp,
-            value=indicator.weight * obs.confidence,
-            attributes=(("indicator", indicator.id), ("region", obs.region)),
-        )
+        return Event(kind=kind, timestamp=obs.timestamp, value=indicator.weight * obs.confidence)
 
     def record_observation(self, obs: IkObservation) -> Event:
         """Log the observation and return its stream event for the engine."""
@@ -168,11 +163,8 @@ class IkRegistry:
 
     @classmethod
     def from_json(cls, document: str) -> "IkRegistry":
-        """Load indicator definitions from a JSON array."""
-        try:
-            payload = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad indicator JSON: {exc.msg}")
+        """Load indicator definitions from a JSON array; bad JSON raises ValueError."""
+        payload = json.loads(document)
         if not isinstance(payload, list):
             raise ValueError("indicator file must hold a JSON array")
         return cls(IkIndicator(

@@ -151,6 +151,8 @@ def parse_json_observation(document: str) -> RawObservation:
         payload = json.loads(document)
     except json.JSONDecodeError as exc:
         raise MalformedError(f"bad JSON: {exc.msg} at position {exc.pos}")
+    except ValueError as exc:   # an integer of more digits than int() reads
+        raise MalformedError(f"bad JSON: {exc}")
     if not isinstance(payload, dict):
         raise MalformedError("document must be a single object")
     for key in ("sensor_id", "property", "value", "unit", "timestamp"):
@@ -314,10 +316,7 @@ class AlignmentTable:
 
     @classmethod
     def from_json(cls, document: str, vocabulary: Vocabulary) -> "AlignmentTable":
-        try:
-            payload = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad alignment table JSON: {exc.msg}")
+        payload = json.loads(document)     # bad JSON raises ValueError
         if not isinstance(payload, dict):
             raise ValueError("alignment table must hold a JSON object")
         table = cls(vocabulary)

@@ -63,8 +63,8 @@ def load_config(path: str | Path) -> Config:
         raise NotFoundError(f"config file not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError("(file)", f"bad JSON: {exc.msg}")
+    except ValueError as exc:   # bad JSON, or an integer of more digits than int() reads
+        raise InvalidConfigError("(file)", f"bad JSON: {exc}")
     if not isinstance(payload, dict):
         raise InvalidConfigError("(file)", "config must be a JSON object")
     base = path.parent

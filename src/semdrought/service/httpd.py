@@ -96,11 +96,12 @@ class ApiHandler(BaseHTTPRequestHandler):
         if not length.isdecimal():
             self.close_connection = True    # the body's end is unknown
             raise BadRequestError("Content-Length must be a non-negative integer")
-        if int(length) > MAX_BODY_BYTES:
+        digits = length.lstrip("0")     # int() reads at most 4300 digits
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits or 0) > MAX_BODY_BYTES:
             self.close_connection = True    # the body is left unread
             raise PayloadTooLargeError(f"body exceeds {MAX_BODY_BYTES} bytes")
         try:
-            return self.rfile.read(int(length)).decode("utf-8")
+            return self.rfile.read(int(digits or 0)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BadRequestError(f"body is not UTF-8: {exc}")
 

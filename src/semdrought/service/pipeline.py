@@ -138,8 +138,7 @@ class Pipeline:
         obs = canonicalize(parse_payload(source_format, payload), self.table)
         with self.lock:
             region = self._region_of_new(obs, self._observation_ids)
-            event = Event._make((obs.property.value, obs.timestamp, obs.value,  # checked above
-                                 (("region", region), ("sensor", obs.sensor_id.value))))
+            event = Event._make((obs.property.value, obs.timestamp, obs.value))  # checked above
             firings = self._engines[region].push_event(event)  # may reject; state untouched
             self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
@@ -152,7 +151,7 @@ class Pipeline:
         engine and log it once the engine accepts it."""
         try:
             payload = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or an integer of more digits than int() reads
             raise IngestError(f"bad indigenous-knowledge payload: {exc}")
         obs = _ik_observation(payload, self.config.regions)
         with self.lock:
@@ -163,7 +162,8 @@ class Pipeline:
         return firings
 
     def _log_firings(self, region: str, firings: list[Firing]) -> None:
-        self._firings.extend((region, f) for f in firings)
+        """Commit each firing as ``restore`` reads it back, without its evidence."""
+        self._firings.extend((region, Firing(f.rule, f.window_end, f.kind)) for f in firings)
 
     def flush_engines(self) -> int:
         """Drain pending windows in every region; returns new firing count."""

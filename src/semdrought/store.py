@@ -192,9 +192,16 @@ def _escape(lexical: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
+_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
 def _unescape(lexical: str) -> str:
-    return (lexical.replace("\\t", "\t").replace("\\r", "\r").replace("\\n", "\n")
-            .replace('\\"', '"').replace("\\\\", "\\"))
+    """``lexical`` with the escapes ``_escape`` writes decoded in one pass;
+    any other escape raises ValueError."""
+    try:
+        return re.sub(r"\\(.)", lambda escape: _UNESCAPED[escape[1]], lexical)
+    except KeyError as exc:
+        raise ValueError(f"unknown escape \\{exc.args[0]}") from None
 
 
 def hierarchies(triples: Iterable[Triple], ns: Namespaces) -> tuple[dict, dict, dict]:

@@ -423,11 +423,10 @@ class TestCascade:
         assert [(f.rule, f.window_end) for f in engine.flush()] == [("a", 3600)]
         # the window of c at 9000, (1800, 9000], is still open and holds A@3600
         # twice: emitted by the flush, then pushed
-        assert engine.push_event(ev("A", 3600)) == []
+        assert engine.push_event(ev("A", 3600, 2.0)) == []
         firings = engine.flush()
         assert [(f.rule, f.window_end) for f in firings] == [("c", 9000)]
-        assert [(e.kind, e.timestamp, e.attributes) for e in firings[0].evidence] == [
-            ("A", 3600, (("rule", "a"),)), ("A", 3600, ())]
+        assert firings[0].evidence == (("A", 3600, None), ("A", 3600, 2.0))
 
     def test_no_same_boundary_cascade(self):
         rules = [
@@ -660,8 +659,7 @@ class ReScanEngine:
                         unique.append(e)
                 firings.append((r.name, boundary,
                                 tuple((e.kind, e.timestamp, e.value) for e in unique)))
-                emitted.append(Event(kind=r.emit, timestamp=boundary,
-                                     attributes=(("rule", r.name),)))
+                emitted.append(Event(kind=r.emit, timestamp=boundary))
             self.events.extend(emitted)
 
 

@@ -29,6 +29,7 @@ INDICATOR = scenario.INDICATORS[0]
 README = Path(__file__).resolve().parent.parent / "README.md"
 PRE_EPOCH_IK = {"indicator_id": "ants_nest_high", "timestamp": "1969-12-01T00:00:00Z",
                 "region": "r1", "confidence": 1.0}
+LONG_INTEGER = "1" * 4301   # more digits than int() reads from text
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +84,12 @@ class TestHttpBodies:
         assert reply["error"] == "BadRequest"
         assert pipeline.event_count == 0
 
-    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 1000000000000000])
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 1000000000000000,
+                                        pytest.param(LONG_INTEGER, id="4301_digits")])
     def test_oversized_body_gets_413_unread(self, server, length):
         port, pipeline = server
         request = (b"POST /observations HTTP/1.1\r\nHost: localhost\r\n"
-                   b"Content-Length: %d\r\n\r\n{}" % length)
+                   b"Content-Length: %s\r\n\r\n{}" % str(length).encode())
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
             sock.sendall(request)
             response = http.client.HTTPResponse(sock)
@@ -386,6 +388,13 @@ class TestMalformedConfig:
         assert code == 1
         assert f"configuration error: config field {field}: {file_name}: " in err
 
+    def test_an_integer_longer_than_int_reads_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"ik_window_days": %s}' % LONG_INTEGER)
+        code = cli_main(["replay", "--config", str(path), "--input", str(path)])
+        assert code == 1
+        assert "configuration error: config field (file): bad JSON: " in capsys.readouterr().err
+
 
 class TestRegionWithoutReadings:
     def test_forecast_gets_404(self, scenario_dir, tmp_path):
@@ -538,6 +547,31 @@ class TestLoneSurrogateEscape:
         data.write_text("json|" + LONE_SURROGATE_READING + "\n", encoding="ascii")
         summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
         assert (summary.parsed, summary.rejected) == (0, {"Malformed": 1})
+
+
+class TestJsonWithALongInteger:
+    """A JSON payload holding an integer too long for int() is rejected like
+    any bad JSON, never with a traceback."""
+
+    READING = reading().decode().replace("2.5", LONG_INTEGER)
+    REPORT = ik_report().decode().replace("0.9", LONG_INTEGER)
+
+    def test_replay_tallies_it(self, scenario_dir, tmp_path):
+        data = tmp_path / "lines.txt"
+        data.write_text(f"json|{self.READING}\nik|{self.REPORT}\n", encoding="ascii")
+        summary = Pipeline(load_config(scenario.config_path(scenario_dir))).replay(data)
+        assert (summary.parsed, summary.rejected) == (0, {"Malformed": 1, "IngestError": 1})
+
+    @pytest.mark.parametrize("route, body, code", [("/observations", READING, "Malformed"),
+                                                   ("/ik", REPORT, "IngestError")],
+                             ids=["reading", "report"])
+    def test_post_gets_400(self, server, capfd, route, body, code):
+        port, pipeline = server
+        status, reply = raw_request(port, "POST", route, body.encode())
+        assert (status, reply["error"]) == (400, code)
+        assert "4301 digits" in reply["detail"]
+        assert pipeline.event_count == 0
+        assert capfd.readouterr().err == ""
 
 
 # two readings of 1e308 in one window: the AVG of the scenario's dry_spell

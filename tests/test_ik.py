@@ -119,10 +119,6 @@ class TestRecordObservation:
         with pytest.raises(BadConfidenceError):
             self.registry.record_observation(observation(confidence=-0.1))
 
-    def test_event_carries_region(self):
-        event = self.registry.record_observation(observation())
-        assert dict(event.attributes)["region"] == "free_state"
-
     def test_rejected_event_is_not_logged(self):
         september_1969 = -9590400
         with pytest.raises(ValueError):

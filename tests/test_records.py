@@ -39,12 +39,12 @@ RAW = dict(sensor_id_raw="s1", property_raw="soil_hum", value_raw="23.5", unit_r
 CANONICAL = dict(id=NS.iri("ex:obs/s1/1672531200"), sensor_id=NS.iri("ex:sensor/s1"),
                  property=NS.iri("ex:soilMoisture"), value=23.5,
                  unit=NS.iri("ex:percentVolumetric"), timestamp=1672531200, lat=-29.1, lon=26.2)
-EVENT = dict(kind="k", timestamp=60, value=1.5, attributes=(("region", "r1"),))
+EVENT = dict(kind="k", timestamp=60, value=1.5)
 
 # (record, its fields, one of them changed)
 RECORDS = [(RawObservation, RAW, {"unit_raw": "pct"}),
            (CanonicalObservation, CANONICAL, {"lon": 26.3}),
-           (Event, EVENT, {"attributes": ()})]
+           (Event, EVENT, {"value": 2.5})]
 
 
 def build(record, fields, **changes):
@@ -69,7 +69,7 @@ class TestContract:
         assert build(record, fields, **changed) != a
 
     def test_defaults(self):
-        assert Event(kind="k", timestamp=0) == Event("k", 0, None, ())
+        assert Event(kind="k", timestamp=0) == Event("k", 0, None)
         assert RawObservation("s", "p", "1", "u", "t") == RawObservation(*"sp1ut", "", "")
 
     def test_an_integral_float_timestamp_becomes_an_int(self):

@@ -229,14 +229,16 @@ class TestForecastIntegration:
         with pytest.raises(UnknownRegionError):
             pipeline.bulletin("atlantis", "2022-05")
 
-    def test_firing_evidence_resolves_to_window_events(self, replayed):
-        _, _, pipeline, _ = replayed
+    def test_firing_evidence_resolves_to_window_events(self, scenario_dir):
+        target, _ = scenario_dir
+        pipeline = Pipeline(load_config(scenario.config_path(target)))
+        firings = feed(pipeline, scenario.dataset_path(target).read_text().splitlines())
         known_kinds = {r.emit for r in pipeline.rules}
         known_kinds.update(p.value for p in pipeline.vocabulary.property_units)
         known_kinds.update({"IkDrierObservation", "IkWetterObservation"})
         lengths = {r.name: r.window.length for r in pipeline.rules}
-        assert pipeline.firings
-        for _, firing in pipeline.firings:
+        assert firings and all(f.evidence for f in firings)
+        for firing in firings:
             for event in firing.evidence:
                 assert event.kind in known_kinds
                 start = firing.window_end - lengths[firing.rule]
@@ -295,18 +297,21 @@ class TestDeterminismAndPersistence:
         assert firings_r == firings_d
 
 
-def feed(pipeline: Pipeline, lines: list[str]) -> None:
+def feed(pipeline: Pipeline, lines: list[str]) -> list:
     """Each ``format|payload`` line through the ingestion path, as replay
-    feeds it, rejections skipped."""
+    feeds it, rejections skipped; the firings the path returns, with their
+    evidence."""
+    firings = []
     for line in lines:
         tag, _, payload = line.partition("|")
         try:
             if tag == "ik":
-                pipeline.ingest_ik_json(payload)
+                firings += pipeline.ingest_ik_json(payload)
             else:
-                pipeline.ingest_payload(tag, payload)
+                firings += pipeline.ingest_payload(tag, payload)[1]
         except SemDroughtError:
             pass
+    return firings
 
 
 def read_bulletin(pipeline: Pipeline, period: str | None = None):

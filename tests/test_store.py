@@ -346,6 +346,24 @@ class TestSerialization:
         loaded = TripleStore.load(store.serialize())
         assert set(loaded) == set(store)
 
+    @pytest.mark.parametrize("lexical", [
+        "a\\nb", "a\\tb\\rc", "\\\\n", 'end\\', '\\"\\', "\t\r\n\\",
+    ])
+    def test_a_backslash_before_an_escape_letter_round_trips(self, lexical):
+        store = TripleStore()
+        store.insert(Triple(iri("s"), iri("p"), Literal(lexical, Datatype.STRING)))
+        loaded = TripleStore.load(store.serialize())
+        assert set(loaded) == set(store)
+        assert loaded.serialize() == store.serialize()
+
+    @pytest.mark.parametrize("escape", ["\\q", "\\u0041", "\\'"])
+    def test_unknown_escape_is_parse_error_with_line(self, escape):
+        text = ('<http://x.org/a> <http://x.org/p> <http://x.org/b> .\n'
+                f'<http://x.org/a> <http://x.org/p> "a{escape}b"^^<{Datatype.STRING.iri}> .\n')
+        with pytest.raises(ParseError, match="unknown escape") as err:
+            TripleStore.load(text)
+        assert err.value.line_number == 2
+
     def test_blank_node_serialization(self):
         from semdrought.model import BlankNode
         store = TripleStore()

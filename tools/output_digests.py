@@ -12,8 +12,9 @@ Then come the live lines: every bulletin of the replayed ``Pipeline``, and,
 for each benchmark world, every bulletin after the world's tail readings
 have gone through ``ingest_payload`` of the replayed pipeline (``tail``)
 and of the restored one (``restored+tail``), as ``serve`` takes them. Each
-of these three states also digests its committed firings with their
-evidence events. A last line ``all-live`` digests the live lines. Run it on
+of these three states also digests its committed firings, each as its
+region, rule, window end and kind (a committed firing keeps no evidence).
+A last line ``all-live`` digests the live lines. Run it on
 two checkouts and compare, or check it against a file of its output:
 
     python3 tools/output_digests.py [--check tools/output_digests.txt]
@@ -62,9 +63,8 @@ def bulletin_text(pipeline: Pipeline, region: str, period: str | None) -> str:
 
 
 def firings_text(pipeline: Pipeline) -> str:
-    """The committed firings, in order, with their evidence events."""
-    return "".join(f"{region} {f.rule} {f.window_end} {f.kind} "
-                   f"{[(e.kind, e.timestamp, e.value, e.attributes) for e in f.evidence]}\n"
+    """The committed firings, in order."""
+    return "".join(f"{region} {f.rule} {f.window_end} {f.kind}\n"
                    for region, f in pipeline.firings)
 
 
