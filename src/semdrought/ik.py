@@ -120,7 +120,7 @@ class IkRegistry:
 
     def event_for(self, obs: IkObservation) -> Event:
         """The observation's stream event for the engine; raises for an
-        observation the log would not accept, and logs nothing."""
+        observation the log must not hold, and logs nothing."""
         indicator = self._indicators.get(obs.indicator_id)
         if indicator is None:
             raise UnknownIndicatorError(f"unknown indicator: {obs.indicator_id}")
@@ -135,11 +135,9 @@ class IkRegistry:
                 else WETTER_EVENT_KIND)
         return Event(kind=kind, timestamp=obs.timestamp, value=indicator.weight * obs.confidence)
 
-    def record_observation(self, obs: IkObservation) -> Event:
-        """Log the observation and return its stream event for the engine."""
-        event = self.event_for(obs)
+    def record_observation(self, obs: IkObservation) -> None:
+        """Log an observation that ``event_for`` accepted."""
         self._log.append(obs)
-        return event
 
     def signal(self, region: str, window: tuple[int, int]) -> IkSignal:
         """Weighted dryness ratio over in-window (start, end] observations."""

@@ -50,7 +50,7 @@ class Iri:
 
     def __post_init__(self):
         v = self.value
-        if v.split() != [v]:      # empty, or contains whitespace
+        if v.split() != [v] or ">" in v:   # empty, or holds whitespace or the '>' that ends it
             raise ValueError(f"invalid IRI: {v!r}")
         if "://" not in v and not _PREFIXED_IRI.match(v):
             raise ValueError(f"IRI needs a scheme or registered prefix: {v!r}")
@@ -63,8 +63,6 @@ class Iri:
 class Datatype(Enum):
     DOUBLE = "double"
     DATETIME = "dateTime"
-    STRING = "string"
-    INTEGER = "integer"
 
     @property
     def iri(self) -> str:
@@ -73,49 +71,38 @@ class Datatype(Enum):
 
 @dataclass(frozen=True)
 class Literal:
+    """An ``xsd:double`` or ``xsd:dateTime`` literal. No accepted lexical
+    form holds whitespace, a quote or a backslash, so each is written verbatim."""
     lexical: str
     datatype: Datatype
 
     def __post_init__(self):
-        if self.datatype is Datatype.DOUBLE:
-            try:
-                v = float(self.lexical)
-            except ValueError:
-                raise ValueError(f"not a double literal: {self.lexical!r}")
-            if v != v or v in (float("inf"), float("-inf")):
-                raise ValueError(f"double literal must be finite: {self.lexical!r}")
-        elif self.datatype is Datatype.DATETIME:
-            parse_utc_instant(self.lexical)
-        elif self.datatype is Datatype.INTEGER:
-            try:
-                int(self.lexical)
-            except ValueError:
-                raise ValueError(f"not an integer literal: {self.lexical!r}")
+        lexical = self.lexical
+        if self.datatype is Datatype.DATETIME:
+            parse_utc_instant(lexical)
+            return
+        try:
+            if lexical.strip() != lexical:     # float() skips outer whitespace
+                raise ValueError
+            v = float(lexical)
+        except ValueError:
+            raise ValueError(f"not a double literal: {lexical!r}")
+        if v != v or v in (float("inf"), float("-inf")):
+            raise ValueError(f"double literal must be finite: {lexical!r}")
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
-
-    def __post_init__(self):
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.label):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
-
-
-Term = Iri | Literal | BlankNode
+Term = Iri | Literal
 
 
 @dataclass(frozen=True)
 class Triple:
-    subject: Term
-    predicate: Term
+    subject: Iri
+    predicate: Iri
     object: Term
 
     def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise ValueError("triple subject must be an IRI or blank node")
-        if not isinstance(self.predicate, Iri):
-            raise ValueError("triple predicate must be an IRI")
+        if not (isinstance(self.subject, Iri) and isinstance(self.predicate, Iri)):
+            raise ValueError("triple subject and predicate must be IRIs")
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +177,13 @@ class Namespaces:
     base_iri: str = DEFAULT_BASE_IRI
 
     def __post_init__(self):
-        if "://" not in self.base_iri or self.base_iri.split() != [self.base_iri]:
-            raise ModelError(f"base IRI needs a scheme and no whitespace: {self.base_iri!r}")
+        try:
+            Iri(self.base_iri)
+            valid = "://" in self.base_iri
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ModelError(f"base IRI needs a scheme and no whitespace or '>': {self.base_iri!r}")
 
     def expand(self, compact: str) -> str:
         if compact.startswith("ex:"):
@@ -341,12 +333,10 @@ def triples_to_observation(ns: Namespaces, triples: set[Triple] | list[Triple]) 
     if len(subjects) > 1:
         raise AmbiguousError(f"{len(subjects)} subjects typed as observation events")
     subject = subjects.pop()
-    if not isinstance(subject, Iri):
-        raise BadLiteralError("observation subject must be an IRI")
 
     by_pred: dict[str, Term] = {}
     for t in triples:
-        if t.subject == subject and isinstance(t.predicate, Iri):
+        if t.subject == subject:
             by_pred[t.predicate.value] = t.object
 
     fields: dict[str, object] = {"id": subject}

@@ -363,8 +363,13 @@ class Pipeline:
         facts.saturate(self.ns)
         regions = self.config.regions
         ik = IkRegistry(self.config.indicators)
-        _read_jsonl(directory / IK_LOG_FILE,
-                    lambda payload: ik.record_observation(_ik_observation(payload, regions)))
+
+        def log_report(payload) -> None:
+            obs = _ik_observation(payload, regions)
+            ik.event_for(obs)     # refuses what ingest_ik_json refuses
+            ik.record_observation(obs)
+
+        _read_jsonl(directory / IK_LOG_FILE, log_report)
         firings = _read_jsonl(directory / FIRING_LOG_FILE, lambda p: _logged_firing(p, regions))
         with self.lock:
             self._facts = facts

@@ -3,7 +3,10 @@
 Set-semantics storage with pattern matching, conjunctive (natural-join)
 queries, saturation under the four built-in RDFS rules over the class and
 property hierarchies, and a deterministic line-oriented N-Triples subset
-for persistence.
+for persistence: one triple per line, of IRIs and ``xsd:double`` or
+``xsd:dateTime`` literals, written verbatim (no term holds whitespace, a
+quote, a backslash or a '>'), with no blank nodes, escapes, language tags
+or comments.
 """
 
 import re
@@ -12,15 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import SemDroughtError
-from .model import (
-    BlankNode,
-    Datatype,
-    Iri,
-    Literal,
-    Namespaces,
-    Term,
-    Triple,
-)
+from .model import Datatype, Iri, Literal, Namespaces, Term, Triple
 
 _VARIABLE_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
@@ -187,23 +182,6 @@ class TripleStore:
         return store
 
 
-def _escape(lexical: str) -> str:
-    return (lexical.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-
-
-_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _unescape(lexical: str) -> str:
-    """``lexical`` with the escapes ``_escape`` writes decoded in one pass;
-    any other escape raises ValueError."""
-    try:
-        return re.sub(r"\\(.)", lambda escape: _UNESCAPED[escape[1]], lexical)
-    except KeyError as exc:
-        raise ValueError(f"unknown escape \\{exc.args[0]}") from None
-
-
 def hierarchies(triples: Iterable[Triple], ns: Namespaces) -> tuple[dict, dict, dict]:
     """The hierarchies of ``triples`` one step up, as the built-in rules read
     them: each subject of an ``ex:subClassOf`` or ``ex:subPropertyOf`` triple
@@ -226,9 +204,7 @@ def term_text(term: Term) -> str:
     """A term as it appears in an N-Triples line."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    return f'"{_escape(term.lexical)}"^^<{term.datatype.iri}>'
+    return f'"{term.lexical}"^^<{term.datatype.iri}>'
 
 
 def triple_text(triple: Triple) -> str:
@@ -237,35 +213,21 @@ def triple_text(triple: Triple) -> str:
             f"{term_text(triple.object)} .")
 
 
-_LINE = re.compile(
-    r"^(?P<s><[^>\s]+>|_:[A-Za-z][A-Za-z0-9_]*)\s+"
-    r"(?P<p><[^>\s]+>)\s+"
-    r'(?P<o><[^>\s]+>|_:[A-Za-z][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*"\^\^<[^>\s]+>)\s+\.\s*$'
-)
+_IRI = r"<([^>\s]+)>"
+_LINE = re.compile(rf'{_IRI}\s+{_IRI}\s+(?:{_IRI}|"([^"]*)"\^\^{_IRI})\s+\.\s*')
 
 _DATATYPES = {d.iri: d for d in Datatype}
 
 
-def _parse_term(text: str, number: int) -> Term:
-    if text.startswith("<"):
-        try:
-            return Iri(text[1:-1])
-        except ValueError as exc:
-            raise ParseError(number, str(exc))
-    if text.startswith("_:"):
-        return BlankNode(text[2:])
-    lexical, _, datatype = text.rpartition("^^")
-    dt = _DATATYPES.get(datatype[1:-1])
-    if dt is None:
-        raise ParseError(number, f"unsupported datatype {datatype}")
-    try:
-        return Literal(_unescape(lexical[1:-1]), dt)
-    except ValueError as exc:
-        raise ParseError(number, str(exc))
-
-
 def _parse_line(line: str, number: int) -> Triple:
-    match = _LINE.match(line)
+    match = _LINE.fullmatch(line)
     if match is None:
         raise ParseError(number, f"not a triple line: {line!r}")
-    return Triple(*(_parse_term(text, number) for text in match.group("s", "p", "o")))
+    subject, predicate, obj, lexical, datatype = match.groups()
+    if obj is None and datatype not in _DATATYPES:
+        raise ParseError(number, f"unsupported datatype <{datatype}>")
+    try:
+        return Triple(Iri(subject), Iri(predicate),
+                      Iri(obj) if obj is not None else Literal(lexical, _DATATYPES[datatype]))
+    except ValueError as exc:
+        raise ParseError(number, str(exc))

@@ -296,6 +296,7 @@ CONFIG_EDITS = [
     ({"persistence_dir": 5}, "persistence_dir"), ({"persistence_dir": ""}, "persistence_dir"),
     ({"base_iri": 5}, "base_iri"), ({"base_iri": "foo"}, "base_iri"),
     ({"base_iri": "http://x y/"}, "base_iri"),
+    ({"base_iri": "http://example.org/a>b#"}, "base_iri"),
     ({"regions": {"r1": ["s1", "s2", "s3"], "r2": ["S1 "]}}, "regions"),
     ({"persistance_dir": "state"}, "persistance_dir"),
     ({"compile_ik_rules": False}, "compile_ik_rules"),
@@ -374,13 +375,16 @@ class TestMalformedConfig:
         ("alignment_table", "alignment.json", {**scenario.ALIGNMENT, "units": {
             "mm": {"iri": "ex:millimetre", "offset": "0"}}}),
         ("alignment_table", "alignment.json", [scenario.ALIGNMENT]),
+        ("alignment_table", "alignment.json", {**scenario.ALIGNMENT, "sensors": {
+            "s1": {"iri": "ex:sensor/s>1", "lat": -29.12, "lon": 26.21}}}),
         ("alignment_table", "alignment.json", b'{"terms": {"\xff": "ex:precipitation"}}'),
         ("rules", "detection.rules", b"\xff"),
     ], ids=["bogus_kind", "indicators_not_array", "missing_kind", "weight_out_of_range",
             "weight_boolean", "weight_string", "weight_overflows", "id_number",
             "season_not_months",
             "non_canonical_property", "unit_without_iri", "scale_boolean", "offset_string",
-            "alignment_array", "alignment_not_utf8", "rules_not_utf8"])
+            "alignment_array", "sensor_iri_with_bracket", "alignment_not_utf8",
+            "rules_not_utf8"])
     def test_damaged_sibling_exits_1(self, scenario_dir, tmp_path, capsys,
                                      field, file_name, content):
         code, err = self.replay_exit(scenario_dir, tmp_path, capsys,
@@ -698,6 +702,15 @@ class TestDamagedState:
         ("observations.jsonl", append_row(lambda row: row.__setitem__(0, row[0] + "0")),
          "is earlier than its region's previous reading"),
         ("facts.nt", lambda data: data + b"\xff", "facts.nt: 'utf-8' codec can't decode"),
+        # the graph holds IRIs and double and dateTime literals, written verbatim
+        ("facts.nt", lambda data: b"_:b <http://x.org/p> <http://x.org/o> .\n" + data,
+         "facts.nt: line 1: not a triple line"),
+        ("facts.nt", lambda data: b'<http://x.org/a> <http://x.org/p> '
+         b'"hi"^^<http://www.w3.org/2001/XMLSchema#string> .\n' + data,
+         "facts.nt: line 1: unsupported datatype"),
+        ("facts.nt", lambda data: b'<http://x.org/a> <http://x.org/p> '
+         b'"1\\"^^<http://www.w3.org/2001/XMLSchema#double> .\n' + data,
+         "facts.nt: line 1: not a double literal"),
     ])
     def test_commands_exit_2(self, persisted, tmp_path, capsys, file_name, damage, reported):
         target = tmp_path / "copy"

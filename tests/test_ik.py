@@ -85,6 +85,8 @@ class TestRegistry:
 
 
 class TestRecordObservation:
+    """The checks a report passes before it is logged, all in ``event_for``."""
+
     def setup_method(self):
         self.registry = IkRegistry()
         self.registry.register_indicator(indicator())
@@ -93,12 +95,12 @@ class TestRecordObservation:
         )
 
     def test_drier_event_value_is_weight_times_confidence(self):
-        event = self.registry.record_observation(observation(confidence=1.0))
+        event = self.registry.event_for(observation(confidence=1.0))
         assert event.kind == "IkDrierObservation"
         assert event.value == pytest.approx(0.8)
 
     def test_wetter_event(self):
-        event = self.registry.record_observation(
+        event = self.registry.event_for(
             observation(id="peulwane_low", confidence=0.5)
         )
         assert event.kind == "IkWetterObservation"
@@ -107,22 +109,22 @@ class TestRecordObservation:
     def test_out_of_season(self):
         january = 1673000000
         with pytest.raises(OutOfSeasonError):
-            self.registry.record_observation(observation(ts=january))
+            self.registry.event_for(observation(ts=january))
 
     def test_unknown_indicator(self):
         with pytest.raises(UnknownIndicatorError):
-            self.registry.record_observation(observation(id="nope"))
+            self.registry.event_for(observation(id="nope"))
 
     def test_bad_confidence(self):
         with pytest.raises(BadConfidenceError):
-            self.registry.record_observation(observation(confidence=1.5))
+            self.registry.event_for(observation(confidence=1.5))
         with pytest.raises(BadConfidenceError):
-            self.registry.record_observation(observation(confidence=-0.1))
+            self.registry.event_for(observation(confidence=-0.1))
 
     def test_rejected_event_is_not_logged(self):
         september_1969 = -9590400
         with pytest.raises(ValueError):
-            self.registry.record_observation(observation(ts=september_1969))
+            self.registry.event_for(observation(ts=september_1969))
         assert self.registry.observations == ()
 
 

@@ -11,7 +11,6 @@ from semdrought.model import (
     MAX_UTC_INSTANT,
     AmbiguousError,
     BadLiteralError,
-    BlankNode,
     CanonicalObservation,
     Datatype,
     Iri,
@@ -178,12 +177,7 @@ class TestTerms:
     def test_predicate_must_be_iri(self):
         s = Iri("ex:a")
         with pytest.raises(ValueError):
-            Triple(s, Literal("1", Datatype.INTEGER), s)
-
-    def test_blank_node_label(self):
-        assert BlankNode("b1").label == "b1"
-        with pytest.raises(ValueError):
-            BlankNode("1bad")
+            Triple(s, Literal("1", Datatype.DOUBLE), s)
 
     def test_triples_compare_by_value(self):
         a = Triple(Iri("ex:s"), Iri("ex:p"), Iri("ex:o"))

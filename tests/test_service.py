@@ -20,6 +20,7 @@ from semdrought.forecast import (
     period_bounds,
     period_values,
 )
+from semdrought.ik import IkRegistry
 from semdrought.service import (
     InvalidConfigError,
     NotFoundError,
@@ -164,6 +165,19 @@ class TestReplay:
         summary = pipeline.replay(data)
         assert summary.parsed == 1
         assert summary.rejected == {"OutOfOrder": 1}
+
+    def test_an_accepted_report_is_checked_once(self, scenario_dir, monkeypatch):
+        target, _ = scenario_dir
+        pipeline = Pipeline(load_config(scenario.config_path(target)))
+        checked = []
+        event_for = IkRegistry.event_for
+        monkeypatch.setattr(IkRegistry, "event_for",
+                            lambda registry, obs: checked.append(obs) or event_for(registry, obs))
+        pipeline.ingest_ik_json(json.dumps({"indicator_id": "ants_nest_high", "region": "r1",
+                                            "timestamp": "2020-06-05T06:00:00Z",
+                                            "confidence": 1.0}))
+        assert len(checked) == 1
+        assert pipeline.ik.observations == tuple(checked)
 
     def test_ik_flows_into_registry_and_engine(self, replayed):
         _, manifest, pipeline, _ = replayed

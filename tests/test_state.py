@@ -335,8 +335,9 @@ class TestRestore:
         obs_id, _ = first_observation(live.store, ns, "s1")
         extra = TripleStore()
         extra.insert(Triple(ns.iri("ex:station/r1"), ns.iri("ex:note"),
-                            Literal("kept", Datatype.STRING)))
-        extra.insert(Triple(obs_id, ns.iri("ex:note"), Literal("checked", Datatype.STRING)))
+                            Literal("1.5", Datatype.DOUBLE)))
+        extra.insert(Triple(obs_id, ns.iri("ex:note"),
+                            Literal("2020-01-01T00:00:00Z", Datatype.DATETIME)))
         extra_lines = extra.serialize().splitlines()
         facts_text = TripleStore().serialize(persisted_facts(target).splitlines() + extra_lines)
 
@@ -363,7 +364,7 @@ class TestRestore:
         on, and the export is the built-in rules' fixpoint."""
         target, live = persisted
         ns = live.ns
-        link = Triple(ns.iri(prop), ns.iri("ex:subPropertyOf"), Literal("1", Datatype.INTEGER))
+        link = Triple(ns.iri(prop), ns.iri("ex:subPropertyOf"), Literal("1", Datatype.DOUBLE))
         facts_text = TripleStore().serialize(
             persisted_facts(target).splitlines() + [triple_text(link)])
         copy = tmp_path / "copy"

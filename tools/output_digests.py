@@ -19,7 +19,9 @@ two checkouts and compare, or check it against a file of its output:
 
     python3 tools/output_digests.py [--check tools/output_digests.txt]
 
-With ``--check``, it exits 1 and prints each line that differs.
+With ``--check``, it exits 1 and prints each line that differs. Either
+way, it exits 1 if a world's ``export`` text does not ``TripleStore.load``
+back to the exported triples and to the same text, naming the world.
 """
 
 import argparse
@@ -47,6 +49,7 @@ from semdrought.service.pipeline import (  # noqa: E402
     OBSERVATION_LOG_FILE,
     Pipeline,
 )
+from semdrought.store import ParseError, TripleStore  # noqa: E402
 
 SEED = 7
 
@@ -80,9 +83,10 @@ def state_lines(label: str, pipeline: Pipeline, months: list[str]) -> list[str]:
 
 
 def digests(name: str, config_path: Path, dataset: Path,
-            tail: list[str]) -> tuple[list[str], list[str]]:
-    """``name item digest`` lines of one replayed and restored world, and
-    the live lines: the replayed state, then both states after ``tail``."""
+            tail: list[str]) -> tuple[list[str], list[str], bool]:
+    """``name item digest`` lines of one replayed and restored world, the
+    live lines (the replayed state, then both states after ``tail``), and
+    whether its export loads back to the exported triples, byte for byte."""
     config = load_config(config_path)
     live = Pipeline(config)
     live.replay(dataset)
@@ -91,7 +95,13 @@ def digests(name: str, config_path: Path, dataset: Path,
              for file in (OBSERVATION_LOG_FILE, FACTS_FILE, IK_LOG_FILE, FIRING_LOG_FILE)]
     restored = Pipeline(config)
     restored.restore(state)
-    lines.append(f"{name} export {sha256(restored.serialize())}")
+    export = restored.serialize()
+    try:
+        loaded = TripleStore.load(export)
+        loads_back = set(loaded) == set(restored.store) and loaded.serialize() == export
+    except ParseError:
+        loads_back = False
+    lines.append(f"{name} export {sha256(export)}")
     months = sorted({format_utc_instant(json.loads(row)[5])[:7]
                      for row in (state / OBSERVATION_LOG_FILE).read_text("utf-8").splitlines()})
     lines += bulletin_lines(name, restored, months)
@@ -104,14 +114,14 @@ def digests(name: str, config_path: Path, dataset: Path,
                 except SemDroughtError:
                     pass
             live_lines += state_lines(label, pipeline, months)
-    return lines, live_lines
+    return lines, live_lines, loads_back
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", type=Path, help="a file of this tool's output to compare with")
     args = parser.parse_args()
-    lines, live_lines = [], []
+    lines, live_lines, unloadable = [], [], []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         scenario.generate_scenario(work / "scenario")
@@ -122,19 +132,23 @@ def main() -> int:
                                                  cache_dir=work / "cache")
             worlds.append((name, generated.config, generated.history, generated.tail))
         for world in worlds:
-            stored, live = digests(*world)
+            stored, live, loads_back = digests(*world)
             lines += stored
             live_lines += live
+            if not loads_back:
+                unloadable.append(world[0])
+    for name in unloadable:
+        print(f"{name}: the export does not load back to its triples", file=sys.stderr)
     output = lines + [f"all {sha256(''.join(line + chr(10) for line in lines))}"]
     output += live_lines + [f"all-live {sha256(''.join(line + chr(10) for line in live_lines))}"]
     if args.check is None:
         print("\n".join(output))
-        return 0
+        return 1 if unloadable else 0
     expected = args.check.read_text(encoding="utf-8").splitlines()
     differing = [line for line in difflib.unified_diff(expected, output, str(args.check),
                                                        "this checkout", lineterm="")]
     print("\n".join(differing) if differing else f"{len(output)} lines match {args.check}")
-    return 1 if differing else 0
+    return 1 if differing or unloadable else 0
 
 
 if __name__ == "__main__":
