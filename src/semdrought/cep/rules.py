@@ -142,9 +142,9 @@ _TOKEN_RULES = (
     ("CMP", _operators(1), None),
     ("LPAREN", r"\(", None),
     ("RPAREN", r"\)", None),
-    ("DURATION", r"\d+(?:\.\d+)?[" + "".join(_UNIT_SECONDS) + r"]\b",
+    ("DURATION", r"[0-9]+(?:\.[0-9]+)?[" + "".join(_UNIT_SECONDS) + r"]\b",
      lambda text: float(text[:-1]) * _UNIT_SECONDS[text[-1]]),
-    ("NUMBER", r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", float),
+    ("NUMBER", r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?", float),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z_][A-Za-z0-9_]*)?", str),
 )
 _SCANNER = re.compile("|".join(f"({pattern})" for _, pattern, _ in _TOKEN_RULES))

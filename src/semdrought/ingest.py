@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 from .errors import SemDroughtError
 from .model import (
+    MEMO_LIMIT,
     CanonicalObservation,
     Iri,
     Vocabulary,
+    ascii_float,
     canonical_double,
     json_number,
-    observation_iri_prefix,
     parse_utc_instant,
 )
 
@@ -237,15 +238,10 @@ def _norm(key: str) -> str:
     return key.strip().lower()
 
 
-# successful lookups each alignment memo keeps: a constant, since POST can send
-# any number of distinct sensor ids
-MEMO_LIMIT = 1024
-
-
 class AlignmentTable:
     """Raw vocabulary to canonical IRIs; lookups are trimmed, case-insensitive.
-    ``resolve`` and ``station`` memoize their successes by raw spelling until
-    an entry is added; a failed lookup raises again each time."""
+    ``resolve`` and ``station`` (a memoized ``sensor``) memoize successes by raw spelling
+    until an entry is added; a failed lookup raises again each time."""
 
     def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
@@ -254,7 +250,7 @@ class AlignmentTable:
         self._units: dict[str, UnitEntry] = {}
         self._sensors: dict[str, SensorEntry] = {}
         self.resolve = functools.lru_cache(MEMO_LIMIT)(self._resolve)
-        self.station = functools.lru_cache(MEMO_LIMIT)(self._station)
+        self.station = functools.lru_cache(MEMO_LIMIT)(self.sensor)
 
     def _add(self, table: dict, what: str, raw: str, value) -> None:
         key = _norm(raw)
@@ -309,11 +305,6 @@ class AlignmentTable:
             )
         return prop, unit_entry, canonical_unit
 
-    def _station(self, raw: str) -> tuple[SensorEntry, str]:
-        """``sensor(raw)`` and the prefix of its observation IRIs."""
-        entry = self.sensor(raw)
-        return entry, observation_iri_prefix(self.ns, entry.iri)
-
     @classmethod
     def from_json(cls, document: str, vocabulary: Vocabulary) -> "AlignmentTable":
         payload = json.loads(document)     # bad JSON raises ValueError
@@ -351,7 +342,7 @@ def convert_unit(value: float, entry: UnitEntry) -> float:
 
 def _parse_number(text: str, what: str) -> float:
     try:
-        value = float(text)
+        value = ascii_float(text)
     except ValueError:
         raise BadNumberError(f"bad {what}: {text!r}")
     if not math.isfinite(value):
@@ -372,12 +363,12 @@ def parse_timestamp(text: str) -> int:
 
 
 def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObservation:
-    """Resolve vocabulary, convert units, and mint the observation IRI."""
+    """Resolve vocabulary and convert units."""
     prop, unit_entry, canonical_unit = table.resolve(raw.property_raw, raw.unit_raw)
     value = convert_unit(_parse_number(raw.value_raw, "value"), unit_entry)
     timestamp = parse_timestamp(raw.timestamp_raw)
 
-    sensor, id_prefix = table.station(raw.sensor_id_raw)
+    sensor = table.station(raw.sensor_id_raw)
     if raw.lat_raw and raw.lon_raw:
         lat = _parse_number(raw.lat_raw, "lat")
         lon = _parse_number(raw.lon_raw, "lon")
@@ -395,8 +386,8 @@ def canonicalize(raw: RawObservation, table: AlignmentTable) -> CanonicalObserva
         raise OutOfRangeError(f"longitude out of range: {lon}")
 
     # every field is checked above, so the record's own checks are skipped
-    return CanonicalObservation._make((Iri(id_prefix + str(timestamp)), sensor.iri, prop, value,
-                                       canonical_unit, timestamp, lat, lon))
+    return CanonicalObservation._make((sensor.iri, prop, value, canonical_unit, timestamp,
+                                       lat, lon))
 
 
 _FORMAT_PARSERS = {

@@ -6,6 +6,7 @@ vocabulary with influence relations, and the lossless mapping between
 canonical observations and their 8-triple representation.
 """
 
+import functools
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -38,6 +39,10 @@ class AmbiguousError(ModelError):
 
 class BadLiteralError(ModelError):
     code = "BadLiteral"
+
+
+# successful lookups a memo keeps: a constant, as POST can send any number of spellings
+MEMO_LIMIT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ class Literal:
         try:
             if lexical.strip() != lexical:     # float() skips outer whitespace
                 raise ValueError
-            v = float(lexical)
+            v = ascii_float(lexical)
         except ValueError:
             raise ValueError(f"not a double literal: {lexical!r}")
         if v != v or v in (float("inf"), float("-inf")):
@@ -122,6 +127,13 @@ def canonical_double(value: float) -> str:
     return repr(value)
 
 
+def ascii_float(text: str) -> float:
+    """``float`` of ASCII text without the ``_`` separators ``float`` also takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return float(text)
+
+
 def json_number(value, what: str) -> float:
     """A JSON number as a float; TypeError for a boolean, a string or null."""
     if type(value) not in (int, float):
@@ -148,7 +160,7 @@ def month_of(timestamp: int) -> int:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).month
 
 
-_UTC_INSTANT = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z")
+_UTC_INSTANT = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z", re.ASCII)
 
 
 def parse_utc_instant(text: str) -> int:
@@ -178,11 +190,9 @@ class Namespaces:
 
     def __post_init__(self):
         try:
-            Iri(self.base_iri)
-            valid = "://" in self.base_iri
+            if "://" not in Iri(self.base_iri).value:
+                raise ValueError
         except ValueError:
-            valid = False
-        if not valid:
             raise ModelError(f"base IRI needs a scheme and no whitespace or '>': {self.base_iri!r}")
 
     def expand(self, compact: str) -> str:
@@ -270,12 +280,13 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 class CanonicalObservation(namedtuple(
-        "CanonicalObservation", "id sensor_id property value unit timestamp lat lon")):
-    """One aligned reading; ``timestamp`` is UTC seconds since the epoch. The
-    constructor checks every field; ``_make`` takes values already checked."""
+        "CanonicalObservation", "sensor_id property value unit timestamp lat lon")):
+    """One aligned reading, identified by its sensor and ``timestamp``, UTC seconds
+    since the epoch. The constructor checks every field; ``_make`` takes values
+    already checked."""
     __slots__ = ()
 
-    def __new__(cls, id: Iri, sensor_id: Iri, property: Iri, value: float, unit: Iri,
+    def __new__(cls, sensor_id: Iri, property: Iri, value: float, unit: Iri,
                 timestamp: int, lat: float, lon: float):
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("observation value must be finite")
@@ -285,9 +296,10 @@ class CanonicalObservation(namedtuple(
             raise ValueError(f"latitude out of range: {lat}")
         if not -180.0 <= lon <= 180.0:
             raise ValueError(f"longitude out of range: {lon}")
-        return tuple.__new__(cls, (id, sensor_id, property, value, unit, int(timestamp), lat, lon))
+        return tuple.__new__(cls, (sensor_id, property, value, unit, int(timestamp), lat, lon))
 
 
+@functools.lru_cache(MEMO_LIMIT)
 def observation_iri_prefix(ns: Namespaces, sensor_id: Iri) -> str:
     """A sensor's observation IRIs are this text followed by their epoch seconds."""
     return ns.join(f"obs/{sensor_id.local_name()}/").value
@@ -312,14 +324,15 @@ OBSERVATION_SHAPE = (
 
 
 def observation_to_triples(ns: Namespaces, obs: CanonicalObservation) -> list[Triple]:
-    """Exactly eight triples, in a fixed order, with distinct predicates."""
-    triples = [Triple(obs.id, Iri(RDF_NS + "type"), ns.iri("ex:ObservationEvent"))]
+    """Exactly eight triples about its minted IRI, in a fixed order, with distinct predicates."""
+    subject = mint_observation_iri(ns, obs.sensor_id, obs.timestamp)
+    triples = [Triple(subject, Iri(RDF_NS + "type"), ns.iri("ex:ObservationEvent"))]
     for local, field, datatype in OBSERVATION_SHAPE:
         value = getattr(obs, field)
         if datatype is not None:    # the canonical lexical form of a double or an instant
             value = Literal(format_utc_instant(value) if datatype is Datatype.DATETIME
                             else canonical_double(value), datatype)
-        triples.append(Triple(obs.id, ns.iri("ex:" + local), value))
+        triples.append(Triple(subject, ns.iri("ex:" + local), value))
     return triples
 
 
@@ -339,7 +352,7 @@ def triples_to_observation(ns: Namespaces, triples: set[Triple] | list[Triple]) 
         if t.subject == subject:
             by_pred[t.predicate.value] = t.object
 
-    fields: dict[str, object] = {"id": subject}
+    fields: dict[str, object] = {}
     try:
         for local, field, datatype in OBSERVATION_SHAPE:
             term = by_pred.get(ns.expand("ex:" + local))

@@ -6,9 +6,9 @@ the detection rule file. It parses them against the configured base IRI,
 adds the count rules compiled from the indicators, and returns them parsed
 in a ``Config``. A missing file raises NotFoundError. Any other fault
 raises InvalidConfigError naming the field: a value of the wrong type or
-range, a damaged sibling file, a sensor listed under two regions, or a
-key the loader does not read, at the top level or inside ``weights``,
-``http`` or ``baseline``.
+range, a damaged sibling file, a sensor listed under two regions, two
+sensors whose observation IRIs collide, or a key the loader does not read,
+at the top level or inside ``weights``, ``http`` or ``baseline``.
 
 All paths in the file resolve relative to the file's own directory, so a
 config directory can be moved wholesale.
@@ -20,11 +20,12 @@ from pathlib import Path
 
 from ..cep.rules import CepRule, parse_ruleset
 from ..errors import SemDroughtError
-from ..forecast import DEFAULT_SEVERITY_THRESHOLDS, BadWeightsError, DviWeights
+from ..forecast import (DEFAULT_IK_WINDOW_SECONDS, DEFAULT_SEVERITY_THRESHOLDS,
+                        MIN_BASELINE_COUNT, BadWeightsError, DviWeights)
 from ..ik import IkIndicator, IkRegistry, compile_indicator_rules
 from ..ingest import AlignmentTable
 from ..model import (DEFAULT_BASE_IRI, ModelError, Namespaces, Vocabulary, json_number,
-                     parse_utc_instant)
+                     observation_iri_prefix, parse_utc_instant)
 
 
 class NotFoundError(SemDroughtError):
@@ -119,16 +120,21 @@ def load_config(path: str | Path) -> Config:
         raise InvalidConfigError("regions", "a non-empty region map is required")
     regions: dict[str, tuple[str, ...]] = {}
     sensor_regions: dict[str, str] = {}
+    minted: dict[str, str] = {}    # observation IRI prefix -> sensor IRI
     for region, sensors in regions_raw.items():
         if (not isinstance(sensors, list) or not sensors
                 or not all(isinstance(s, str) and s for s in sensors)):
             raise InvalidConfigError("regions", f"{region}: expected sensor id list")
         regions[region] = tuple(sensors)
         for raw_id in sensors:
-            iri = table.sensor(raw_id).iri.value
-            if sensor_regions.setdefault(iri, region) != region:
-                raise InvalidConfigError(
-                    "regions", f"sensor {raw_id} is listed under {sensor_regions[iri]} and {region}")
+            iri = table.sensor(raw_id).iri
+            if sensor_regions.setdefault(iri.value, region) != region:
+                raise InvalidConfigError("regions", f"sensor {raw_id} is listed under "
+                                         f"{sensor_regions[iri.value]} and {region}")
+            prefix = observation_iri_prefix(ns, iri)
+            if minted.setdefault(prefix, iri.value) != iri.value:
+                raise InvalidConfigError("regions", f"sensors {minted[prefix]} and {iri.value} "
+                                         f"mint the same observation IRIs, {prefix}<seconds>")
 
     weights_raw = payload.pop("weights", {})
     if not isinstance(weights_raw, dict):
@@ -188,8 +194,8 @@ def load_config(path: str | Path) -> Config:
         http_port=port,
         persistence_dir=persistence_dir,
         baseline_window=baseline,
-        ik_window_days=positive_int("ik_window_days", 90),
-        min_baseline_count=positive_int("min_baseline_count", 5),
+        ik_window_days=positive_int("ik_window_days", DEFAULT_IK_WINDOW_SECONDS // 86400),
+        min_baseline_count=positive_int("min_baseline_count", MIN_BASELINE_COUNT),
     )
     unread(payload)
     return config

@@ -27,6 +27,7 @@ from ..cep.engine import OutOfOrderError
 from ..cep.rules import rule_to_text
 from ..errors import SemDroughtError
 from ..forecast import InsufficientBaselineError, NoDataError
+from ..model import mint_observation_iri
 from .config import NotFoundError
 from .pipeline import Pipeline, UnknownRegionError
 
@@ -152,7 +153,8 @@ class ApiHandler(BaseHTTPRequestHandler):
         body = self._read_body()    # on every route, so the next request starts after it
         if url.path == "/observations":
             obs, firings = pipeline.ingest_payload("json", body)
-            return {"accepted": True, "id": obs.id.value, "firings": len(firings)}
+            iri = mint_observation_iri(pipeline.ns, obs.sensor_id, obs.timestamp)
+            return {"accepted": True, "id": iri.value, "firings": len(firings)}
         if url.path == "/ik":
             return {"accepted": True, "firings": len(pipeline.ingest_ik_json(body))}
         raise NotFoundError(f"no route {url.path}")

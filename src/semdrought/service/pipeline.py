@@ -5,9 +5,10 @@ Observations replayed from file and observations posted over HTTP travel
 the identical route, so replay tests cover the live path. Each region owns
 one event engine, preserving the in-order input contract per region while
 regions proceed independently. The per-region observation logs are the
-state, persisted as they are held. Each observation's triples, with what
-the built-in rules derive from them and the saturated facts, are rendered
-from the log on every read: for ``export`` and for the ``store`` view.
+state, persisted as they are held. A reading is identified by its sensor and
+instant, which mint its IRI wherever it is shown. Each observation's triples,
+with what the built-in rules derive from them and the saturated facts, are
+rendered from the log on every read: for ``export`` and for the ``store`` view.
 """
 
 import functools
@@ -44,6 +45,8 @@ from ..model import (
     Triple,
     format_utc_instant,
     json_number,
+    mint_observation_iri,
+    observation_iri_prefix,
     observation_to_triples,
     parse_utc_instant,
     triples_to_observation,  # unused here; perfbench's tracer wraps it by this name
@@ -95,13 +98,11 @@ class Pipeline:
         for triple in self.vocabulary.as_triples():
             self._facts.insert(triple)
         self._facts.saturate(self.ns)
-        self._view: TripleStore | None = None
 
         self._engines = {region: Engine(self.rules) for region in config.regions}
         self._observations: dict[str, list[CanonicalObservation]] = {
             region: [] for region in config.regions
         }
-        self._observation_ids: set[str] = set()
         self._firings: list[tuple[str, Firing]] = []
         # region -> ((baseline window, count of its readings in it), their climatology);
         # a log grows only at its end, in time order, so the two identify the readings
@@ -119,17 +120,21 @@ class Pipeline:
     def firings(self) -> tuple[tuple[str, Firing], ...]:
         return tuple(self._firings)
 
-    def region_of(self, sensor: Iri) -> str:
-        region = self.config.sensor_regions.get(sensor.value)
+    def _region_of_new(self, obs: CanonicalObservation, logs: dict[str, list]) -> str:
+        """The region of the observation's sensor, unless its log in ``logs``
+        holds the sensor at the observation's instant: among the readings that
+        end the log or, if it is earlier than the log's tail, that end where a
+        bisection finds."""
+        region = self.config.sensor_regions.get(obs.sensor_id.value)
         if region is None:
-            raise UnknownRegionError(f"sensor {sensor.value} belongs to no region")
-        return region
-
-    def _region_of_new(self, obs: CanonicalObservation, ids: set[str]) -> str:
-        """The observation's region, unless its id is already in ``ids``."""
-        region = self.region_of(obs.sensor_id)
-        if obs.id.value in ids:
-            raise DuplicateObservationError(f"observation already ingested: {obs.id.value}")
+            raise UnknownRegionError(f"sensor {obs.sensor_id.value} belongs to no region")
+        log, at = logs[region], obs.timestamp
+        end = _logged_span(log, at, at + 1).stop if log and at < log[-1].timestamp else len(log)
+        while end and log[end - 1].timestamp == at:
+            end -= 1
+            if log[end].sensor_id.value == obs.sensor_id.value:
+                iri = mint_observation_iri(self.ns, obs.sensor_id, at)
+                raise DuplicateObservationError(f"observation already ingested: {iri.value}")
         return region
 
     def ingest_payload(self, source_format: str,
@@ -137,12 +142,10 @@ class Pipeline:
         """Parse, canonicalize, log and stream into the region engine."""
         obs = canonicalize(parse_payload(source_format, payload), self.table)
         with self.lock:
-            region = self._region_of_new(obs, self._observation_ids)
+            region = self._region_of_new(obs, self._observations)
             event = Event._make((obs.property.value, obs.timestamp, obs.value))  # checked above
             firings = self._engines[region].push_event(event)  # may reject; state untouched
-            self._observation_ids.add(obs.id.value)
             self._observations[region].append(obs)
-            self._view = None
             self._log_firings(region, firings)
         return obs, firings
 
@@ -276,26 +279,25 @@ class Pipeline:
         for log in self._observations.values():
             for obs in log:
                 own = observation_to_triples(self.ns, obs)
-                typed = [Triple(obs.id, rdf_type, cls) for cls in super_classes]
+                subject = own[0].subject
+                typed = [Triple(subject, rdf_type, cls) for cls in super_classes]
                 yield from ((t, False) for t in own)
                 yield from ((t, True) for t in typed)
-                yield from ((Triple(obs.id, prop, t.object), True) for t in own + typed
+                yield from ((Triple(subject, prop, t.object), True) for t in own + typed
                             for prop in super_properties.get(t.predicate, ()))
 
     @property
     def store(self) -> TripleStore:
         """Every triple of the state, with its inferred mark: the saturated
-        facts, then each observation's own and derived triples. A read-only
-        view, built on demand and cached until the next write."""
+        facts, then each observation's own and derived triples. A copy, built
+        on each access: what it shows is the state when it was built."""
         with self.lock:
-            if self._view is None:
-                view = TripleStore()
-                for triple in self._facts:
-                    view.insert(triple, inferred=self._facts.is_inferred(triple))
-                for triple, inferred in self._observation_triples():
-                    view.insert(triple, inferred=inferred)
-                self._view = view
-            return self._view
+            view = TripleStore()
+            for triple in self._facts:
+                view.insert(triple, inferred=self._facts.is_inferred(triple))
+            for triple, inferred in self._observation_triples():
+                view.insert(triple, inferred=inferred)
+            return view
 
     def serialize(self) -> str:
         """The state as N-Triples, as ``export`` writes it; equal to
@@ -313,7 +315,7 @@ class Pipeline:
         with self.lock:
             quote_iri = functools.lru_cache(None)(_quote)   # interned IRIs repeat row to row
             _atomic_write(directory / OBSERVATION_LOG_FILE, "".join(
-                _observation_row(obs, quote_iri) + "\n"
+                _observation_row(self.ns, obs, quote_iri) + "\n"
                 for log in self._observations.values() for obs in log))
             facts = self._facts
             _atomic_write(directory / FACTS_FILE, TripleStore().serialize(
@@ -332,10 +334,12 @@ class Pipeline:
 
         The persisted logs replace the current ones, in their logged order,
         and the persisted triples, saturated again, replace the store's;
-        nothing changes if any file is missing or damaged. Each region's
-        engine resumes from ``EngineState(last=...)``, its last restored
-        reading or report: it rejects older events and holds no open windows
-        (persisted firings stand in for the engine's past ones).
+        nothing changes if any file is missing or damaged. A reading's row
+        must give the IRI its sensor and instant mint, and no two rows the
+        same sensor and instant. Each region's engine resumes from
+        ``EngineState(last=...)``, its last restored reading or report: it
+        rejects older events and holds no open windows (persisted firings
+        stand in for the engine's past ones).
         """
         directory = Path(directory)
         for name in (OBSERVATION_LOG_FILE, FACTS_FILE):
@@ -343,16 +347,17 @@ class Pipeline:
                 raise SemDroughtError(
                     f"no {name} in {directory}; re-run replay to persist the state")
         logs: dict[str, list[CanonicalObservation]] = {region: [] for region in self._observations}
-        ids: set[str] = set()
         iris: dict[tuple, tuple] = {}
 
         def log_observation(row) -> None:
             obs = _logged_observation(row, iris)
-            log = logs[self._region_of_new(obs, ids)]
+            log = logs[self._region_of_new(obs, logs)]
             if log and obs.timestamp < log[-1].timestamp:
-                raise ValueError(f"{obs.id.value} is earlier than its region's previous reading")
+                raise ValueError(f"{row[0]} is earlier than its region's previous reading")
+            iri = observation_iri_prefix(self.ns, obs.sensor_id) + str(obs.timestamp)
+            if row[0] != iri:
+                raise ValueError(f"id {row[0]} is not {iri}, minted from its sensor and timestamp")
             log.append(obs)
-            ids.add(obs.id.value)
 
         _read_jsonl(directory / OBSERVATION_LOG_FILE, log_observation)
         facts_path = directory / FACTS_FILE
@@ -373,13 +378,11 @@ class Pipeline:
         firings = _read_jsonl(directory / FIRING_LOG_FILE, lambda p: _logged_firing(p, regions))
         with self.lock:
             self._facts = facts
-            self._observation_ids = ids
             self._observations = logs
             for region, log in logs.items():
                 last = max([o.timestamp for o in ik.observations if o.region == region]
                            + [o.timestamp for o in log[-1:]], default=None)
                 self._engines[region] = Engine(self.rules, EngineState(last=last))
-            self._view = None
             self._climatologies = {}
             self.ik = ik
             self._firings = firings
@@ -407,7 +410,7 @@ def _ik_observation(payload, regions) -> IkObservation:
     return obs
 
 
-# an observation as ``persist`` logs it, one JSON array per observation: its id,
+# an observation as ``persist`` logs it, one JSON array per observation: its IRI,
 # then the fields of OBSERVATION_SHAPE in table order, IRIs as their strings
 _ROW_FIELDS = (("id", None),) + tuple((f, d) for _, f, d in OBSERVATION_SHAPE)
 # the types each column may hold, in _ROW_FIELDS order, and every row's types they allow
@@ -421,28 +424,30 @@ _ROW_SIGNATURES = frozenset(itertools.product(*_ROW_TYPES))
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _observation_row(obs: CanonicalObservation, quote_iri=_quote) -> str:
-    return (f"[{_quote(obs.id.value)}, {quote_iri(obs.sensor_id.value)}, "
+def _observation_row(ns, obs: CanonicalObservation, quote_iri=_quote) -> str:
+    iri = observation_iri_prefix(ns, obs.sensor_id) + str(obs.timestamp)   # as minted
+    return (f"[{_quote(iri)}, {quote_iri(obs.sensor_id.value)}, "
             f"{quote_iri(obs.property.value)}, {obs.value!r}, {quote_iri(obs.unit.value)}, "
             f"{obs.timestamp!r}, {obs.lat!r}, {obs.lon!r}]")     # in _ROW_FIELDS order
 
 
 def _logged_observation(row, iris: dict[tuple, tuple]) -> CanonicalObservation:
-    """The observation of one ``persist`` log row; a row of the wrong shape,
-    a value of the wrong type or out of range raises ValueError. ``iris``
-    keeps the IRIs of each (sensor, property, unit) across the rows of one restore."""
+    """The observation of one ``persist`` log row, its id column unread; a row
+    of the wrong shape, a value of the wrong type or out of range raises
+    ValueError. ``iris`` keeps the IRIs of each (sensor, property, unit)
+    across the rows of one restore."""
     if not isinstance(row, list) or len(row) != len(_ROW_FIELDS):
         raise ValueError(f"expected an array of {len(_ROW_FIELDS)} values")
     if tuple(map(type, row)) not in _ROW_SIGNATURES:     # also rejects booleans
         field, types = next((f, t) for (f, _), t, v in zip(_ROW_FIELDS, _ROW_TYPES, row)
                             if type(v) not in t)
         raise ValueError(f"{field} must be of type {' or '.join(t.__name__ for t in types)}")
-    obs_id, sensor, prop, value, unit, timestamp, lat, lon = row
+    _, sensor, prop, value, unit, timestamp, lat, lon = row
     if timestamp > MAX_UTC_INSTANT:
         format_utc_instant(timestamp)     # raises past the year 9999, as datetime does
     key = (sensor, prop, unit)
     sensor, prop, unit = iris.get(key) or iris.setdefault(key, tuple(map(Iri, key)))
-    return CanonicalObservation(Iri(obs_id), sensor, prop, float(value), unit, timestamp,
+    return CanonicalObservation(sensor, prop, float(value), unit, timestamp,
                                 float(lat), float(lon))
 
 

@@ -58,24 +58,14 @@ class TriplePattern:
 Binding = dict[str, Term]
 
 
-def _substitute(pattern: TriplePattern, binding: Binding) -> TriplePattern:
-    def sub(t: PatternTerm) -> PatternTerm:
-        if isinstance(t, Variable) and t.name in binding:
-            return binding[t.name]
-        return t
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
-
-
-def _unify(pattern: TriplePattern, triple: Triple) -> Binding | None:
-    binding: Binding = {}
+def _unify(pattern: TriplePattern, triple: Triple, binding: Binding) -> Binding | None:
+    """``binding`` extended so that ``pattern`` matches ``triple``, if it can be."""
+    binding = dict(binding)
     for slot, value in ((pattern.subject, triple.subject),
                         (pattern.predicate, triple.predicate),
                         (pattern.object, triple.object)):
         if isinstance(slot, Variable):
-            seen = binding.get(slot.name)
-            if seen is None:
-                binding[slot.name] = value
-            elif seen != value:
+            if binding.setdefault(slot.name, value) != value:
                 return None
         elif slot != value:
             return None
@@ -113,12 +103,11 @@ class TripleStore:
     def match_pattern(self, pattern: TriplePattern) -> list[Binding]:
         """One binding per unifying triple, in no fixed order; distinct
         triples give distinct bindings. Ground patterns yield [{}] if present."""
-        out: list[Binding] = []
-        for triple in self._triples:
-            binding = _unify(pattern, triple)
-            if binding is not None:
-                out.append(binding)
-        return out
+        return self._extend([{}], pattern)
+
+    def _extend(self, solutions: list[Binding], pattern: TriplePattern) -> list[Binding]:
+        return [extended for binding in solutions for triple in self._triples
+                if (extended := _unify(pattern, triple, binding)) is not None]
 
     def query_bgp(self, patterns: list[TriplePattern]) -> list[Binding]:
         """Natural join of the per-pattern solutions on shared variables,
@@ -127,15 +116,7 @@ class TripleStore:
             raise ValueError("query needs at least one pattern")
         solutions: list[Binding] = [{}]
         for pattern in patterns:
-            next_solutions: list[Binding] = []
-            for binding in solutions:
-                for extension in self.match_pattern(_substitute(pattern, binding)):
-                    merged = dict(binding)
-                    merged.update(extension)
-                    next_solutions.append(merged)
-            solutions = next_solutions
-            if not solutions:
-                break
+            solutions = self._extend(solutions, pattern)
         solutions.sort(key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
         return solutions
 

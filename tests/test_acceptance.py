@@ -40,7 +40,6 @@ from semdrought.model import (
     Vocabulary,
     canonical_double,
     format_utc_instant,
-    mint_observation_iri,
     observation_to_triples,
 )
 from semdrought.service import Pipeline, load_config
@@ -242,7 +241,6 @@ def test_criterion_4_numeric_kernels():
             samples = [rng.uniform(0, 40) for _ in range(rng.randint(2, 24))]
             history = [
                 CanonicalObservation(
-                    id=mint_observation_iri(NS, sensor, 1_577_836_800 + case * 40_000_000 + i),
                     sensor_id=sensor, property=NS.iri("ex:precipitation"),
                     value=v, unit=unit,
                     timestamp=int(datetime(

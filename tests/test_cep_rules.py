@@ -55,6 +55,16 @@ class TestParser:
         assert rule.pattern == Compare("COUNT", "IkDrierObservation", ">=", 3.0)
         assert rule.window == WindowSpec(90 * 86400, 90 * 86400)
 
+    @pytest.mark.parametrize("text, column, found", [
+        ("RULE a WHEN x > \u0661 WITHIN 30d EMIT B", 17, "'\u0661'"),
+        ("RULE a WHEN x > 1 WITHIN \u0663\u0660d EMIT B", 26, "'\u0663'"),
+        ("RULE a WHEN x > 1 WITHIN 30d STEP \uff11d EMIT B", 35, "'\uff11'"),
+    ])
+    def test_numbers_and_durations_take_ascii_digits_only(self, text, column, found):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rule(text, NS)
+        assert (err.value.line, err.value.column, err.value.found) == (1, column, found)
+
     def test_missing_step_means_tumbling(self):
         rule = parse_rule("RULE r WHEN x > 1 WITHIN 7d EMIT Y", NS)
         assert rule.window.stride == rule.window.length
@@ -215,7 +225,7 @@ DSL_PIECES = [
 dsl_strings = st.lists(st.sampled_from(DSL_PIECES), max_size=30).map("".join)
 
 # a token can start at a character only in one of these ways
-_TOKEN_START = re.compile(r"->|[<>()]|[=!]=|-?\d|[A-Za-z_]")
+_TOKEN_START = re.compile(r"->|[<>()]|[=!]=|-?[0-9]|[A-Za-z_]")
 
 
 class TestTokenizer:

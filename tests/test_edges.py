@@ -18,7 +18,7 @@ import pytest
 
 import scenario
 from semdrought.errors import SemDroughtError
-from semdrought.service import Pipeline, cli, load_config
+from semdrought.service import InvalidConfigError, Pipeline, cli, load_config
 from semdrought.service.cli import main as cli_main
 from semdrought.service.httpd import GET_STATUSES, MAX_BODY_BYTES
 
@@ -392,6 +392,35 @@ class TestMalformedConfig:
         assert code == 1
         assert f"configuration error: config field {field}: {file_name}: " in err
 
+    def test_sensors_whose_observation_iris_collide_exit_1(self, scenario_dir, tmp_path, capsys):
+        """A reading's IRI keeps only its sensor IRI's local name, so a second
+        region's ``t1``, ``ex:station/s1``, would mint ``ex:sensor/s1``'s IRIs
+        and have its readings refused as that sensor's duplicates."""
+        sensors = {**scenario.ALIGNMENT["sensors"],
+                   "t1": {"iri": "ex:station/s1", "lat": -29.0, "lon": 26.0}}
+        code, err = self.replay_exit(
+            scenario_dir, tmp_path, capsys, {"regions": {"r1": ["s1", "s2", "s3"], "r2": ["t1"]}},
+            ("alignment.json", {**scenario.ALIGNMENT, "sensors": sensors}))
+        assert code == 1
+        assert ("configuration error: config field regions: sensors "
+                "http://example.org/semdrought#sensor/s1 and http://example.org/semdrought#"
+                "station/s1 mint the same observation IRIs, "
+                "http://example.org/semdrought#obs/s1/<seconds>") in err
+        with pytest.raises(InvalidConfigError):
+            load_config(tmp_path / "config.json")
+
+    def test_sensors_of_one_iri_or_distinct_names_are_accepted(self, scenario_dir, tmp_path):
+        sensors = {**scenario.ALIGNMENT["sensors"],
+                   "alias": {"iri": "ex:sensor/s1", "lat": -29.0, "lon": 26.0},
+                   "t1": {"iri": "ex:station/t1", "lat": -29.0, "lon": 26.0}}
+        path = edited_config(scenario_dir, tmp_path,
+                             {"regions": {"r1": ["s1", "s2", "s3", "alias"], "r2": ["t1"]}})
+        (tmp_path / "alignment.json").write_text(
+            json.dumps({**scenario.ALIGNMENT, "sensors": sensors}))
+        assert load_config(path).sensor_regions == {
+            f"http://example.org/semdrought#{iri}": region for iri, region in
+            [("sensor/s1", "r1"), ("sensor/s2", "r1"), ("sensor/s3", "r1"), ("station/t1", "r2")]}
+
     def test_an_integer_longer_than_int_reads_exits_1(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"ik_window_days": %s}' % LONG_INTEGER)
@@ -670,6 +699,12 @@ def append_row(edit):
     return damage
 
 
+def one_second_earlier(row):
+    """The reading of the same sensor one second before, its id minted from it."""
+    row[5] -= 1
+    row[0] = f"{row[0].rpartition('/')[0]}/{row[5]}"
+
+
 class TestDamagedState:
     @pytest.mark.parametrize("file_name, damage, reported", [
         ("ik_log.jsonl", lambda data: data + b"{not json\n", "ik_log.jsonl"),
@@ -699,8 +734,12 @@ class TestDamagedState:
         ("observations.jsonl", append_row(lambda row: row.__setitem__(1, row[1] + "9")),
          "belongs to no region"),
         ("observations.jsonl", append_row(lambda row: None), "observation already ingested"),
-        ("observations.jsonl", append_row(lambda row: row.__setitem__(0, row[0] + "0")),
+        ("observations.jsonl", append_row(one_second_earlier),
          "is earlier than its region's previous reading"),
+        # a reading's id is minted from its sensor and timestamp, here 2100-01-01
+        ("observations.jsonl", append_row(lambda row: row.__setitem__(5, 4102444800)),
+         "obs/s1/1578009600 is not http://example.org/semdrought#obs/s1/4102444800, minted "
+         "from its sensor and timestamp"),
         ("facts.nt", lambda data: data + b"\xff", "facts.nt: 'utf-8' codec can't decode"),
         # the graph holds IRIs and double and dateTime literals, written verbatim
         ("facts.nt", lambda data: b"_:b <http://x.org/p> <http://x.org/o> .\n" + data,

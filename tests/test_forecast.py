@@ -26,7 +26,7 @@ from semdrought.forecast import (
     standardized_anomaly,
 )
 from semdrought.ik import IkSignal
-from semdrought.model import CanonicalObservation, Namespaces, mint_observation_iri
+from semdrought.model import CanonicalObservation, Namespaces
 
 NS = Namespaces()
 PRECIP = NS.iri("ex:precipitation")
@@ -47,8 +47,7 @@ def ts(year: int, month: int, day: int = 15) -> int:
 def obs(prop, value: float, when: int) -> CanonicalObservation:
     sensor = NS.join("sensor/s1")
     return CanonicalObservation(
-        id=mint_observation_iri(NS, sensor, when), sensor_id=sensor,
-        property=prop, value=value, unit=UNITS[prop], timestamp=when,
+        sensor_id=sensor, property=prop, value=value, unit=UNITS[prop], timestamp=when,
         lat=-29.1, lon=26.2,
     )
 

@@ -36,7 +36,8 @@ from semdrought.ingest import (
     parse_timestamp,
     parse_xml_observation,
 )
-from semdrought.model import Namespaces, Vocabulary, canonical_double, format_utc_instant
+from semdrought.model import (Namespaces, Vocabulary, canonical_double, format_utc_instant,
+                              mint_observation_iri)
 
 NS = Namespaces()
 VOCAB = Vocabulary(NS)
@@ -412,7 +413,8 @@ class TestAlignmentMemo:
         listed = canonicalize(raw_csv(sensor_id_raw="s7", lat_raw="", lon_raw=""), table)
         assert (listed.sensor_id, listed.lat, listed.lon) == (NS.iri("ex:station/seven"),
                                                               -29.0, 26.0)
-        assert listed.id == NS.join(f"obs/seven/{listed.timestamp}")
+        assert mint_observation_iri(NS, listed.sensor_id, listed.timestamp) == \
+            NS.join(f"obs/seven/{listed.timestamp}")
 
     @pytest.mark.parametrize("raw, error, term", [
         (dict(property_raw="frogcount"), UnknownTermError, "frogcount"),
@@ -452,6 +454,34 @@ def raw_csv(**kw) -> RawObservation:
     )
     defaults.update(kw)
     return RawObservation(**defaults)
+
+
+class TestAsciiNumbersAndInstants:
+    """Numbers and instants are spelled in ASCII digits: ``float`` also takes
+    any Unicode decimal digit and ``_`` separators, and ``re``'s ``\\d`` any
+    Unicode decimal digit."""
+
+    @pytest.mark.parametrize("field, text, error", [
+        ("value_raw", "1_0", BadNumberError),
+        ("value_raw", "\u0661\u0660", BadNumberError),
+        ("value_raw", "\uff11\uff10.5", BadNumberError),
+        ("lat_raw", "-2_9", BadNumberError),
+        ("lon_raw", "\u0662\u0666", BadNumberError),
+        ("timestamp_raw", "\u0662\u0660\u0662\u0663-01-01T00:00:00Z", BadTimestampError),
+        ("timestamp_raw", "2023-01-01T00:00:0\uff10Z", BadTimestampError),
+    ])
+    def test_other_digits_are_refused(self, field, text, error):
+        with pytest.raises(error):
+            canonicalize(raw_csv(**{field: text}), TABLE)
+
+    def test_a_csv_reading_spelled_so_is_refused(self):
+        line = "s1,soil_hum,1_0,%,\u0662\u0660\u0662\u0663-01-01T00:00:00Z,,"
+        with pytest.raises(BadNumberError):
+            canonicalize(parse_payload("csv", line), TABLE)
+        with pytest.raises(BadTimestampError):
+            canonicalize(parse_payload("csv", line.replace("1_0", "10")), TABLE)
+        assert canonicalize(parse_payload("csv", "s1,soil_hum,10,%,2023-01-01T00:00:00Z,,"),
+                            TABLE).value == 10.0
 
 
 class TestCanonicalize:

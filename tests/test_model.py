@@ -142,6 +142,15 @@ class TestInstantCodec:
         assert format_utc_instant(ts) == text
         assert parse_utc_instant(text) == ts
 
+    @pytest.mark.parametrize("text", ["\u0662\u0660\u0662\u0660-01-01T00:00:00Z",
+                                      "2020-01-0\u0661T00:00:00Z", "2020-01-01T00:00:0\uff15Z"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        """``re``'s ``\\d`` also matches every other Unicode decimal digit."""
+        with pytest.raises(ValueError, match="not an ISO-8601 UTC instant"):
+            parse_utc_instant(text)
+        with pytest.raises(ValueError, match="not an ISO-8601 UTC instant"):
+            Literal(text, Datatype.DATETIME)
+
     def test_format_rejects_the_year_10000(self):
         with pytest.raises(ValueError, match="year 10000 is out of range"):
             format_utc_instant(MAX_UTC_INSTANT + 1)
@@ -174,6 +183,13 @@ class TestTerms:
         with pytest.raises(ValueError):
             Literal("abc", Datatype.DOUBLE)
 
+    @pytest.mark.parametrize("lexical", ["1_0", "1_000.5", "1e1_0", "\u0661", "\u0661\u0660",
+                                         "\uff11.5", "-\u0967"])
+    def test_double_literal_is_ascii_without_separators(self, lexical):
+        float(lexical)      # which Python's float takes
+        with pytest.raises(ValueError, match="not a double literal"):
+            Literal(lexical, Datatype.DOUBLE)
+
     def test_predicate_must_be_iri(self):
         s = Iri("ex:a")
         with pytest.raises(ValueError):
@@ -204,7 +220,6 @@ def make_obs(sensor="s1", prop="ex:soilMoisture", unit="ex:percentVolumetric",
              value=23.5, ts=1672531200, lat=-29.1, lon=26.2) -> CanonicalObservation:
     sensor_iri = NS.join(f"sensor/{sensor}")
     return CanonicalObservation(
-        id=mint_observation_iri(NS, sensor_iri, ts),
         sensor_id=sensor_iri,
         property=NS.iri(prop),
         value=value,

@@ -36,9 +36,9 @@ TABLE = AlignmentTable.from_json(json.dumps({
 
 RAW = dict(sensor_id_raw="s1", property_raw="soil_hum", value_raw="23.5", unit_raw="%",
            timestamp_raw="2023-01-01T00:00:00Z", lat_raw="-29.1", lon_raw="26.2")
-CANONICAL = dict(id=NS.iri("ex:obs/s1/1672531200"), sensor_id=NS.iri("ex:sensor/s1"),
-                 property=NS.iri("ex:soilMoisture"), value=23.5,
-                 unit=NS.iri("ex:percentVolumetric"), timestamp=1672531200, lat=-29.1, lon=26.2)
+CANONICAL = dict(sensor_id=NS.iri("ex:sensor/s1"), property=NS.iri("ex:soilMoisture"),
+                 value=23.5, unit=NS.iri("ex:percentVolumetric"), timestamp=1672531200,
+                 lat=-29.1, lon=26.2)
 EVENT = dict(kind="k", timestamp=60, value=1.5)
 
 # (record, its fields, one of them changed)

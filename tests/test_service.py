@@ -13,6 +13,8 @@ import scenario
 from semdrought.cep import Engine
 from semdrought.errors import SemDroughtError
 from semdrought.forecast import (
+    DEFAULT_IK_WINDOW_SECONDS,
+    MIN_BASELINE_COUNT,
     NoDataError,
     Severity,
     build_climatology,
@@ -30,7 +32,7 @@ from semdrought.service import (
 )
 from semdrought.service import pipeline as pipeline_module
 from semdrought.service.cli import main as cli_main
-from semdrought.model import RDF_NS, Iri, triples_to_observation
+from semdrought.model import RDF_NS, Iri, mint_observation_iri, triples_to_observation
 from semdrought.store import TripleStore
 
 from live_server import running_server
@@ -49,7 +51,8 @@ def extract_observations(store, ns):
         if triple.subject in grouped:
             grouped[triple.subject].append(triple)
     observations = [triples_to_observation(ns, group) for group in grouped.values()]
-    observations.sort(key=lambda o: (o.timestamp, o.id.value))
+    observations.sort(
+        key=lambda o: (o.timestamp, mint_observation_iri(ns, o.sensor_id, o.timestamp).value))
     return observations
 
 
@@ -85,7 +88,8 @@ class TestConfig:
         config = load_config(scenario.config_path(target))
         assert config.weights.precipitation == 0.4
         assert config.severity_thresholds == (0.25, 0.5, 0.75)
-        assert config.min_baseline_count == 5
+        assert config.min_baseline_count == MIN_BASELINE_COUNT == 5
+        assert config.ik_window_days * 86400 == DEFAULT_IK_WINDOW_SECONDS == 90 * 86400
         assert config.regions == {"r1": ("s1", "s2", "s3")}
 
     def test_missing_config_file(self, tmp_path):
@@ -190,7 +194,8 @@ class TestReplay:
         obs = extract_observations(pipeline.store, ns)
         assert len(obs) == manifest["observations"]
         # type propagation ran: every observation is also typed as an Event
-        derived = Triple(obs[0].id, Iri(RDF_NS + "type"), ns.iri("ex:Event"))
+        subject = mint_observation_iri(ns, obs[0].sensor_id, obs[0].timestamp)
+        derived = Triple(subject, Iri(RDF_NS + "type"), ns.iri("ex:Event"))
         assert derived in pipeline.store
         assert pipeline.store.is_inferred(derived)
 

@@ -149,7 +149,6 @@ def first_observation(store: TripleStore, ns: Namespaces, sensor: str) -> tuple[
 
 observations = st.builds(
     lambda sensor, ts, value, lat, lon: CanonicalObservation(
-        id=mint_observation_iri(NS, NS.iri(f"ex:sensor/{sensor}"), ts),
         sensor_id=NS.iri(f"ex:sensor/{sensor}"), property=NS.iri("ex:soilMoisture"),
         value=value, unit=NS.iri("ex:percentVolumetric"), timestamp=ts, lat=lat, lon=lon),
     sensor=st.sampled_from(["s1", "station-9", "a%22b"]),
@@ -167,8 +166,9 @@ class TestObservationRows:
     @settings(max_examples=200)
     @given(observations)
     def test_logged_row_round_trips_every_field(self, obs):
-        row = _observation_row(obs)
-        assert row == ENCODE_RECORD([obs.id.value, obs.sensor_id.value, obs.property.value,
+        row = _observation_row(NS, obs)
+        iri = mint_observation_iri(NS, obs.sensor_id, obs.timestamp)
+        assert row == ENCODE_RECORD([iri.value, obs.sensor_id.value, obs.property.value,
                                      obs.value, obs.unit.value, obs.timestamp, obs.lat, obs.lon])
         assert _logged_observation(json.loads(row), {}) == obs
 
@@ -224,7 +224,7 @@ class ReferenceStore:
     def ingest(self, line: str) -> str | None:
         """Error code the ingest should give, or None after storing it."""
         obs = canonicalize(parse_payload("csv", line), self.pipeline.table)
-        region = self.pipeline.region_of(obs.sensor_id)
+        region = self.pipeline.config.sensor_regions[obs.sensor_id.value]
         triples = observation_to_triples(self.pipeline.ns, obs)
         if triples[0] in self.store:
             return "Duplicate"
@@ -304,17 +304,17 @@ class TestDerivedView:
         assert torn == []
         assert len(pipeline.store) == base + 2 * 60 * per_observation
 
-    def test_view_is_cached_until_a_write(self, two_regions):
+    def test_view_is_built_on_each_access(self, two_regions):
+        """Nothing keeps a view: each access builds one, which later writes leave as it was."""
         pipeline = Pipeline(load_config(two_regions))
         first = pipeline.store
-        assert pipeline.store is first
+        assert pipeline.store is not first and set(pipeline.store) == set(first)
         pipeline.ingest_payload("csv", csv_line(("s1", 0, 1.5)))
         second = pipeline.store
-        assert pipeline.store is second
         pipeline.ingest_payload("csv", csv_line(("s1", 1, 1.5)))
         third = pipeline.store
-        assert second is not first and third is not second
-        assert len(third) - len(second) == len(second) - len(first)
+        assert len(third) - len(second) == len(second) - len(first) > 0
+        assert set(first) < set(second) < set(third)
 
 
 # --- restore -------------------------------------------------------------------
@@ -324,10 +324,11 @@ class TestRestore:
         target, live = persisted
         pipeline = restored_copy(target, tmp_path / "copy")
         event = pipeline.ns.iri("ex:Event")
-        types = [t for t in pipeline.store if t.predicate == RDF_TYPE and t.object == event]
+        store = pipeline.store
+        types = [t for t in store if t.predicate == RDF_TYPE and t.object == event]
         assert types
-        assert all(pipeline.store.is_inferred(t) for t in types)
-        assert_same_store(pipeline.store, live.store)
+        assert all(store.is_inferred(t) for t in types)
+        assert_same_store(store, live.store)
 
     def test_export_keeps_triples_no_observation_accounts_for(self, persisted, tmp_path):
         target, live = persisted
@@ -485,3 +486,132 @@ class TestOntologyDerivations:
                 assert asserted(view) == expected
                 assert set(view) == oracle_fixpoint(expected, rules)
                 assert pipeline.serialize() == view.serialize()
+
+
+# --- duplicate detection -------------------------------------------------------
+
+class IdSetReference:
+    """The accept and reject codes of a set of accepted observation IRIs, as
+    duplicates were once found: a reading whose minted IRI is in the set is a
+    Duplicate, else one earlier than its region's last reading is OutOfOrder."""
+
+    def __init__(self, config):
+        self.config = config
+        self.ids: set[str] = set()
+        self.last: dict[str, int] = {}
+
+    def ingest(self, source_format: str, payload: str) -> str | None:
+        obs = canonicalize(parse_payload(source_format, payload), self.config.table)
+        region = self.config.sensor_regions[obs.sensor_id.value]
+        iri = mint_observation_iri(self.config.table.ns, obs.sensor_id, obs.timestamp).value
+        if iri in self.ids:
+            return "Duplicate"
+        if obs.timestamp < self.last.get(region, obs.timestamp):
+            return "OutOfOrder"
+        self.ids.add(iri)
+        self.last[region] = obs.timestamp
+        return None
+
+
+def scenario_readings(scenario_dir: Path, count: int) -> list[tuple[str, str]]:
+    """The scenario's first ``count`` readings, as (format, payload) pairs."""
+    lines = scenario.dataset_path(scenario_dir).read_text(encoding="utf-8").splitlines()
+    return [tuple(line.split("|", 1)) for line in lines if not line.startswith("ik|")][:count]
+
+
+def reading_at(sensor: str, timestamp: int, value: float) -> tuple[str, str]:
+    term, unit, lat, lon = CSV_FIELDS[sensor]
+    return "csv", f"{sensor},{term},{value},{unit},{format_utc_instant(timestamp)},{lat},{lon}"
+
+
+# (before which scenario reading, kind of re-post, a number to choose by, sensor)
+reposts = st.lists(st.tuples(st.integers(0, 90), st.sampled_from(["earlier", "same", "fresh"]),
+                             st.integers(0, 10 ** 6), st.sampled_from(sorted(CSV_FIELDS))),
+                   max_size=30)
+
+
+class TestDuplicateDetection:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reposts=reposts)
+    def test_codes_match_a_set_of_accepted_ids(self, scenario_dir, two_regions, reposts):
+        """The scenario's readings, interleaved with re-posts of one already
+        posted, readings at the last accepted instant and readings within two
+        days of it: every code is the one the set of accepted IRIs gives."""
+        config = load_config(two_regions)
+        pipeline, reference = Pipeline(config), IdSetReference(config)
+        readings = scenario_readings(scenario_dir, 90)
+        posted: list[tuple[str, str]] = []
+        last = None
+        for index, reading in enumerate(readings + [None]):
+            sent = []
+            for _, kind, number, sensor in (r for r in reposts if r[0] == index):
+                if kind == "earlier" and posted:
+                    sent.append(posted[number % len(posted)])
+                elif kind == "same" and last is not None:
+                    sent.append(reading_at(sensor, last, number / 100))
+                elif kind == "fresh" and last is not None:
+                    sent.append(reading_at(sensor, last + number % (4 * DAY) - 2 * DAY, 1.0))
+            sent += [reading] if reading else []
+            for source_format, payload in sent:
+                expected = reference.ingest(source_format, payload)
+                try:
+                    obs, _ = pipeline.ingest_payload(source_format, payload)
+                    code = None
+                except SemDroughtError as exc:
+                    code = exc.code
+                assert code == expected, (source_format, payload)
+                posted.append((source_format, payload))
+                last = obs.timestamp if code is None else last
+        assert sum(map(len, pipeline._observations.values())) == len(reference.ids)
+
+
+# (sensor, day) posted again after READINGS; two_regions puts s1 and s2 in r1, s3 in r2
+READINGS = [("s1", 0), ("s2", 0), ("s1", 1), ("s3", 1), ("s2", 2)]
+REPOSTS = [
+    (("s1", 0), "Duplicate"),       # older than its region's last reading
+    (("s2", 0), "Duplicate"),
+    (("s1", 1), "Duplicate"),
+    (("s2", 2), "Duplicate"),       # at its region's last instant
+    (("s3", 1), "Duplicate"),
+    (("s3", 0), "OutOfOrder"),      # older, and not logged
+    (("s1", 2), None),              # another sensor at its region's last instant
+]
+
+
+class TestDuplicateBeforeOutOfOrder:
+    """A reading posted again is a Duplicate however old it is: the region's
+    log is searched for it whenever it is not later than the log's tail."""
+
+    def fed(self, two_regions) -> Pipeline:
+        pipeline = Pipeline(load_config(two_regions))
+        for sensor, day in READINGS:
+            pipeline.ingest_payload("csv", csv_line((sensor, day, 1.5)))
+        return pipeline
+
+    @pytest.mark.parametrize("reading, code", REPOSTS, ids=[f"{s}-{d}" for (s, d), _ in REPOSTS])
+    def test_in_process(self, two_regions, reading, code):
+        pipeline = self.fed(two_regions)
+        iri = mint_observation_iri(NS, NS.iri(f"ex:sensor/{reading[0]}"), START + reading[1] * DAY)
+        try:
+            pipeline.ingest_payload("csv", csv_line((*reading, 2.5)))
+        except SemDroughtError as exc:
+            assert exc.code == code
+            if code == "Duplicate":
+                assert str(exc) == f"observation already ingested: {iri.value}"
+        else:
+            assert code is None
+
+    def test_over_http(self, two_regions):
+        pipeline = self.fed(two_regions)
+        statuses = {"Duplicate": 400, "OutOfOrder": 409, None: 200}
+        with running_server(pipeline) as port:
+            for (sensor, day), code in REPOSTS:
+                term, unit, lat, lon = CSV_FIELDS[sensor]
+                status, body = http_post(f"http://127.0.0.1:{port}/observations", {
+                    "sensor_id": sensor, "property": term, "value": 2.5, "unit": unit,
+                    "timestamp": format_utc_instant(START + day * DAY), "lat": lat, "lon": lon})
+                iri = mint_observation_iri(NS, NS.iri(f"ex:sensor/{sensor}"), START + day * DAY)
+                assert (status, body.get("error")) == (statuses[code], code)
+                if code is None:
+                    assert body == {"accepted": True, "id": iri.value, "firings": 0}

@@ -360,6 +360,21 @@ class TestSerialization:
             TripleStore.load(text)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("lexical, datatype, message", [
+        ("1_0", Datatype.DOUBLE, "not a double literal"),
+        ("\u0661", Datatype.DOUBLE, "not a double literal"),
+        ("\uff11.5", Datatype.DOUBLE, "not a double literal"),
+        ("\u0662\u0660\u0662\u0660-01-01T00:00:00Z", Datatype.DATETIME,
+         "not an ISO-8601 UTC instant"),
+    ])
+    def test_a_literal_not_in_ascii_digits_is_parse_error_with_line(self, lexical, datatype,
+                                                                     message):
+        text = ('<http://x.org/a> <http://x.org/p> <http://x.org/b> .\n'
+                f'<http://x.org/a> <http://x.org/p> "{lexical}"^^<{datatype.iri}> .\n')
+        with pytest.raises(ParseError, match=message) as err:
+            TripleStore.load(text)
+        assert err.value.line_number == 2
+
     def test_inferred_marks_not_persisted(self):
         store = TripleStore()
         store.insert(t("A", "subClassOf", "B"))

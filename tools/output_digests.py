@@ -14,8 +14,11 @@ have gone through ``ingest_payload`` of the replayed pipeline (``tail``)
 and of the restored one (``restored+tail``), as ``serve`` takes them. Each
 of these three states also digests its committed firings, each as its
 region, rule, window end and kind (a committed firing keeps no evidence).
-A last line ``all-live`` digests the live lines. Run it on
-two checkouts and compare, or check it against a file of its output:
+A line ``all-live`` digests the live lines. Last come, for each benchmark
+world and each of its two tail states, the ``ids`` lines: what each tail
+``ingest_payload`` gives, the IRI a ``POST /observations`` reply carries
+as its ``id`` or the error's code and message. Run it on two checkouts and
+compare, or check it against a file of its output:
 
     python3 tools/output_digests.py [--check tools/output_digests.txt]
 
@@ -40,7 +43,7 @@ import scenario  # noqa: E402
 import world as perfbench_world  # noqa: E402
 
 from semdrought.errors import SemDroughtError  # noqa: E402
-from semdrought.model import format_utc_instant  # noqa: E402
+from semdrought.model import format_utc_instant, mint_observation_iri  # noqa: E402
 from semdrought.service.config import load_config  # noqa: E402
 from semdrought.service.pipeline import (  # noqa: E402
     FACTS_FILE,
@@ -82,11 +85,21 @@ def state_lines(label: str, pipeline: Pipeline, months: list[str]) -> list[str]:
             + bulletin_lines(label, pipeline, months))
 
 
+def reply_text(pipeline: Pipeline, document: str) -> str:
+    """The ``id`` of the reply to posting ``document``, or the error's code and message."""
+    try:
+        obs, _ = pipeline.ingest_payload("json", document)
+    except SemDroughtError as exc:
+        return f"{exc.code}: {exc}\n"
+    return mint_observation_iri(pipeline.ns, obs.sensor_id, obs.timestamp).value + "\n"
+
+
 def digests(name: str, config_path: Path, dataset: Path,
-            tail: list[str]) -> tuple[list[str], list[str], bool]:
+            tail: list[str]) -> tuple[list[str], list[str], list[str], bool]:
     """``name item digest`` lines of one replayed and restored world, the
-    live lines (the replayed state, then both states after ``tail``), and
-    whether its export loads back to the exported triples, byte for byte."""
+    live lines (the replayed state, then both states after ``tail``), the
+    ids lines of those two states, and whether its export loads back to the
+    exported triples, byte for byte."""
     config = load_config(config_path)
     live = Pipeline(config)
     live.replay(dataset)
@@ -105,23 +118,20 @@ def digests(name: str, config_path: Path, dataset: Path,
     months = sorted({format_utc_instant(json.loads(row)[5])[:7]
                      for row in (state / OBSERVATION_LOG_FILE).read_text("utf-8").splitlines()})
     lines += bulletin_lines(name, restored, months)
-    live_lines = state_lines(f"{name} live", live, months)
+    live_lines, id_lines = state_lines(f"{name} live", live, months), []
     if tail:
         for label, pipeline in ((f"{name} tail", live), (f"{name} restored+tail", restored)):
-            for document in tail:
-                try:
-                    pipeline.ingest_payload("json", document)
-                except SemDroughtError:
-                    pass
+            replies = "".join(reply_text(pipeline, document) for document in tail)
             live_lines += state_lines(label, pipeline, months)
-    return lines, live_lines, loads_back
+            id_lines.append(f"{label} ids {sha256(replies)}")
+    return lines, live_lines, id_lines, loads_back
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", type=Path, help="a file of this tool's output to compare with")
     args = parser.parse_args()
-    lines, live_lines, unloadable = [], [], []
+    lines, live_lines, id_lines, unloadable = [], [], [], []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         scenario.generate_scenario(work / "scenario")
@@ -132,15 +142,17 @@ def main() -> int:
                                                  cache_dir=work / "cache")
             worlds.append((name, generated.config, generated.history, generated.tail))
         for world in worlds:
-            stored, live, loads_back = digests(*world)
+            stored, live, ids, loads_back = digests(*world)
             lines += stored
             live_lines += live
+            id_lines += ids
             if not loads_back:
                 unloadable.append(world[0])
     for name in unloadable:
         print(f"{name}: the export does not load back to its triples", file=sys.stderr)
     output = lines + [f"all {sha256(''.join(line + chr(10) for line in lines))}"]
     output += live_lines + [f"all-live {sha256(''.join(line + chr(10) for line in live_lines))}"]
+    output += id_lines
     if args.check is None:
         print("\n".join(output))
         return 1 if unloadable else 0
